@@ -180,7 +180,8 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
   std::cout << "==============================================================\n"
             << title << "\n"
             << "(reproduces " << paper_ref << "; values from the LogGP cost\n"
-            << " model -- compare shapes, not absolutes; see EXPERIMENTS.md)\n"
+            << " model -- compare shapes, not absolutes; see README.md,\n"
+            << " \"The network cost model\")\n"
             << "==============================================================\n";
 }
 

@@ -1,6 +1,6 @@
 // PR 4 perf snapshot: constraint-filtered edges_of over heavy edges --
 // serial lock-and-fetch per holder (the pre-PR4 shape) vs the batched
-// fetch_edges_batch path (one overlapped lock CAS round + one primary and
+// holder fetch path (one overlapped lock CAS round + one primary and
 // one continuation block round for every heavy holder a query touches).
 //
 // The graph gives half its edges their own holders (heavy_edge_fraction),
@@ -101,7 +101,7 @@ int main() {
   std::cout << "\nJSON:\n{\n"
             << "  \"bench\": \"pr4_edge_batch\",\n"
             << "  \"description\": \"label-constrained edges_of over 50% heavy "
-               "edges: serial holder fetches vs fetch_edges_batch\",\n"
+               "edges: serial holder fetches vs one batched holder fetch\",\n"
             << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
             << ", \"queries_per_rank\": " << kQueries << ",\n"
             << "  \"serial_time_ns\": " << stats::Table::fmt(serial.time_ns, 1)

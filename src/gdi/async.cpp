@@ -299,12 +299,14 @@ Status BatchScope::execute() {
 
   // Phase 3: hints first (so spec fetches hit the freshly populated cache),
   // then the single lock/fetch path for everything that needs a state.
-  if (!lockfree_hints.empty()) t.populate_block_cache(lockfree_hints);
+  if (!lockfree_hints.empty())
+    t.populate_block_cache<Transaction::VertexState>(lockfree_hints);
   std::vector<Status> per(specs.size(), Status::kOk);
   const Status doom =
       specs.empty()
           ? Status::kOk
-          : t.fetch_vertices_batch(specs, std::span<Status>(per.data(), per.size()));
+          : t.fetch_batch<Transaction::VertexState>(
+                specs, std::span<Status>(per.data(), per.size()));
   if (!ok(doom)) {
     // Transaction-critical failure: the offending ops carry their own status,
     // everything else unresolved aborts.
@@ -321,9 +323,9 @@ Status BatchScope::execute() {
   // front; constraint-filtered edges_of ops contribute the heavy holders of
   // every direction-matching record of their now-materialized vertex (the
   // records a serial edges_of would have locked-and-fetched one by one).
-  // One fetch_edges_batch gives the whole set one overlapped lock round and
-  // one primary + one continuation block round.
-  std::vector<Transaction::EdgeFetchSpec> especs;
+  // One fetch_batch over the edge holders gives the whole set one overlapped
+  // lock round and one primary + one continuation block round.
+  std::vector<Transaction::FetchSpec> especs;
   std::vector<std::size_t> op_espec(ops.size(), SIZE_MAX);
   for (std::size_t i = 0; i < ops.size(); ++i) {
     Op& op = ops[i];
@@ -366,7 +368,7 @@ Status BatchScope::execute() {
   }
   if (!especs.empty()) {
     std::vector<Status> eper(especs.size(), Status::kOk);
-    const Status edoom = t.fetch_edges_batch(
+    const Status edoom = t.fetch_batch<Transaction::EdgeState>(
         especs, std::span<Status>(eper.data(), eper.size()));
     if (!ok(edoom)) {
       for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -547,8 +549,8 @@ Status BatchScope::execute() {
     }
     if (!fspecs.empty()) {
       std::vector<Status> fper(fspecs.size(), Status::kOk);
-      const Status fdoom =
-          t.fetch_vertices_batch(fspecs, std::span<Status>(fper.data(), fper.size()));
+      const Status fdoom = t.fetch_batch<Transaction::VertexState>(
+          fspecs, std::span<Status>(fper.data(), fper.size()));
       for (std::size_t k = 0; k < fmap.size(); ++k) {
         Op& op = ops[fmap[k]];
         if (!ok(fper[k])) {

@@ -124,8 +124,8 @@ class BatchScope {
   }
   /// GDI_AssociateEdgeNb: fetch + lock a heavy edge's holder. All edge
   /// holders of one execute() -- these, get_edge_properties targets, and the
-  /// heavy edges behind constraint-filtered edges_of -- ride one
-  /// fetch_edges_batch: one overlapped lock CAS round set plus one primary
+  /// heavy edges behind constraint-filtered edges_of -- ride one fetch_batch
+  /// over edge holders: one overlapped lock CAS round set plus one primary
   /// and one continuation block round for the whole set, the same treatment
   /// vertices get (and the same shared-cache eligibility).
   Future<EdgeHandle> associate_edge(DPtr eid);

@@ -198,7 +198,7 @@ inline Status GDI_UpdatePropertyOfVertexNb(GDI_Future<std::monostate>* f_out,
 
 /// Heavy-edge ops: all edge holders of one batch (these plus the heavy edges
 /// behind constraint-filtered GDI_GetEdgesOfVertexNb) resolve through one
-/// overlapped lock round and one block round (fetch_edges_batch).
+/// overlapped lock round and one block round (Transaction::fetch_batch).
 inline Status GDI_AssociateEdgeNb(GDI_Future<GDI_EdgeHolder>* f_out, DPtr eID,
                                   GDI_Batch& batch) {
   *f_out = batch.associate_edge(eID);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "gdi/async.hpp"
 
@@ -276,26 +277,28 @@ void Transaction::prefetch_vertices(std::span<const DPtr> vids) {
 }
 
 void Transaction::prefetch_edges(std::span<const DPtr> eids) {
-  // n-op wrapper over the async surface (edge twin of prefetch_vertices).
+  // n-op wrapper over the async surface (prefetch_vertices for heavy edges).
   BatchScope scope = batch();
   scope.prefetch_edges(eids);
   (void)scope.execute();
 }
 
-void Transaction::populate_block_cache(std::span<const DPtr> vids,
+template <class S>
+void Transaction::populate_block_cache(std::span<const DPtr> ids,
                                        std::unordered_set<std::uint64_t>* tainted) {
   if (!active_ || failed_) return;
   if (!cache_enabled() || !batching_enabled()) return;
 
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
+  const auto& states = holders<S>();
   std::vector<DPtr> need;
-  for (DPtr v : vids) {
-    if (v.is_null()) continue;
-    if (vcache_.contains(v.raw()) || blk_cache_.contains(v.raw())) continue;
-    // Reserve the slot so duplicates within `vids` are fetched once.
-    blk_cache_.emplace(v.raw(), std::vector<std::byte>{});
-    need.push_back(v);
+  for (DPtr id : ids) {
+    if (id.is_null()) continue;
+    if (states.contains(id.raw()) || blk_cache_.contains(id.raw())) continue;
+    // Reserve the slot so duplicates within `ids` are fetched once.
+    blk_cache_.emplace(id.raw(), std::vector<std::byte>{});
+    need.push_back(id);
   }
   if (need.empty()) return;
 
@@ -316,15 +319,12 @@ void Transaction::populate_block_cache(std::span<const DPtr> vids,
   for (std::size_t j = 0; j < need.size(); ++j) {
     auto& slot = blk_cache_[need[j].raw()];
     slot.assign(scratch.data() + j * B, scratch.data() + (j + 1) * B);
-    layout::VertexView view(slot);
+    typename S::View view(slot);
     if (!view.valid()) continue;
     const std::uint32_t nb = view.num_blocks();
-    // Defensive clamp: a stale DPtr may point at a reused non-vertex block
-    // whose header bytes are arbitrary; never chase addresses beyond the
-    // block-address table that fits in the primary block.
-    if (nb > view.table_capacity() ||
-        nb > (B - layout::VertexView::kBlockTableOff) / 8)
-      continue;
+    // Defensive clamp: never chase addresses beyond the block-address table
+    // that fits in the primary block.
+    if (nb > S::max_blocks(view, B)) continue;
     for (std::uint32_t i = 1; i < nb; ++i) {
       const DPtr blk = view.block_addr(i);
       if (blk.is_null()) continue;
@@ -351,72 +351,12 @@ void Transaction::populate_block_cache(std::span<const DPtr> vids,
     blk_cache_[tail_blks[j].raw()] = std::move(tail_bufs[j]);
 }
 
-void Transaction::populate_edge_block_cache(std::span<const DPtr> eids,
-                                            std::unordered_set<std::uint64_t>* tainted) {
-  if (!active_ || failed_) return;
-  if (!cache_enabled() || !batching_enabled()) return;
-
-  auto& blocks = db_->blocks();
-  const std::size_t B = blocks.block_size();
-  std::vector<DPtr> need;
-  for (DPtr e : eids) {
-    if (e.is_null()) continue;
-    if (ecache_.contains(e.raw()) || blk_cache_.contains(e.raw())) continue;
-    blk_cache_.emplace(e.raw(), std::vector<std::byte>{});
-    need.push_back(e);
-  }
-  if (need.empty()) return;
-
-  // Round 1: all primary blocks, one overlapped batch.
-  std::vector<std::byte> scratch(need.size() * B);
-  std::vector<block::BlockStore::BlockReadOp> ops;
-  ops.reserve(need.size());
-  for (std::size_t j = 0; j < need.size(); ++j)
-    ops.push_back({need[j], scratch.data() + j * B});
-  blocks.read_blocks(self_, ops);
-  self_.counters().cache_misses += need.size();
-
-  // Round 2: continuation blocks of multi-block edge holders (the EdgeView
-  // block table is fixed-size and always lives in the primary block).
-  std::vector<DPtr> tail_blks;
-  for (std::size_t j = 0; j < need.size(); ++j) {
-    auto& slot = blk_cache_[need[j].raw()];
-    slot.assign(scratch.data() + j * B, scratch.data() + (j + 1) * B);
-    layout::EdgeView view(slot);
-    if (!view.valid()) continue;
-    const std::uint32_t nb = view.num_blocks();
-    if (nb > layout::EdgeView::kMaxBlocks) continue;  // stale/reused block
-    for (std::uint32_t i = 1; i < nb; ++i) {
-      const DPtr blk = view.block_addr(i);
-      if (blk.is_null()) continue;
-      if (blk_cache_.contains(blk.raw())) {
-        // See populate_block_cache: pre-bracket tail bytes taint the holder.
-        if (tainted != nullptr) tainted->insert(need[j].raw());
-        continue;
-      }
-      blk_cache_.emplace(blk.raw(), std::vector<std::byte>{});
-      tail_blks.push_back(blk);
-    }
-  }
-  if (tail_blks.empty()) return;
-  std::vector<std::vector<std::byte>> tail_bufs(tail_blks.size(),
-                                                std::vector<std::byte>(B));
-  std::vector<block::BlockStore::BlockReadOp> tail_ops;
-  tail_ops.reserve(tail_blks.size());
-  for (std::size_t j = 0; j < tail_blks.size(); ++j)
-    tail_ops.push_back({tail_blks[j], tail_bufs[j].data()});
-  blocks.read_blocks(self_, tail_ops);
-  self_.counters().cache_misses += tail_blks.size();
-  for (std::size_t j = 0; j < tail_blks.size(); ++j)
-    blk_cache_[tail_blks[j].raw()] = std::move(tail_bufs[j]);
-}
-
 // ---------------------------------------------------------------------------
 // The single lock/fetch path
 // ---------------------------------------------------------------------------
 
-Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
-                                         std::span<Status> per) {
+template <class S>
+Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Status> per) {
   assert(per.size() == specs.size());
   if (!active_ || failed_) {
     std::fill(per.begin(), per.end(), Status::kTxnAborted);
@@ -426,13 +366,14 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
   Status doom = Status::kOk;
   const int attempts = db_->config().lock_attempts;
   auto& blocks = db_->blocks();
+  auto& states = holders<S>();
 
-  // Deduplicate by vid, merging write/required intent; vids that already
-  // have a state resolve through the vcache_ hit path, with read->write
-  // upgrades set aside so the whole set upgrades in overlapped CAS rounds
+  // Deduplicate by id, merging write/required intent; ids that already have
+  // a state resolve through the hit path, with read->write upgrades set
+  // aside so the whole set upgrades in overlapped CAS rounds
   // (try_upgrade_many) instead of word-by-word.
   struct Item {
-    DPtr vid;
+    DPtr id;
     bool write = false;
     bool required = false;
     LockState lock = LockState::kNone;
@@ -446,18 +387,18 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
   std::vector<Item> items;
   std::unordered_map<std::uint64_t, std::size_t> item_of;
   std::vector<std::size_t> spec_item(specs.size(), SIZE_MAX);
-  // Read->write upgrades of already-held states: unique vids + their specs.
-  std::vector<DPtr> upg_vids;
+  // Read->write upgrades of already-held states: unique ids + their specs.
+  std::vector<DPtr> upg_ids;
   std::unordered_map<std::uint64_t, std::size_t> upg_of;
   std::vector<std::pair<std::size_t, std::size_t>> upg_specs;  // (spec, upg idx)
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const FetchSpec& sp = specs[i];
-    if (sp.vid.is_null()) {
+    if (sp.id.is_null()) {
       per[i] = Status::kInvalidArgument;
       continue;
     }
-    if (auto vit = vcache_.find(sp.vid.raw()); vit != vcache_.end()) {
-      VertexState* st = vit->second.get();
+    if (auto sit = states.find(sp.id.raw()); sit != states.end()) {
+      S* st = sit->second.get();
       if (st->deleted) {
         per[i] = Status::kNotFound;
         continue;
@@ -476,50 +417,56 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
         continue;
       }
       if (st->lock == LockState::kRead) {
-        auto [uit, fresh] = upg_of.try_emplace(sp.vid.raw(), upg_vids.size());
-        if (fresh) upg_vids.push_back(sp.vid);
+        auto [uit, fresh] = upg_of.try_emplace(sp.id.raw(), upg_ids.size());
+        if (fresh) upg_ids.push_back(sp.id);
         upg_specs.emplace_back(i, uit->second);
         continue;
       }
       // LockState::kNone with write intent cannot arise in locking modes;
       // fall back to the serial path for robustness.
-      auto r = vertex_state(VertexHandle{sp.vid}, /*for_write=*/true);
+      auto r = state<S>(sp.id, /*for_write=*/true);
       per[i] = r.ok() ? Status::kOk : r.status();
       if (sp.required && is_transaction_critical(per[i]) && ok(doom)) doom = per[i];
       continue;
     }
-    auto [it, fresh] = item_of.try_emplace(sp.vid.raw(), items.size());
-    if (fresh) items.push_back(Item{sp.vid, sp.write, sp.required});
+    auto [it, fresh] = item_of.try_emplace(sp.id.raw(), items.size());
+    if (fresh) items.push_back(Item{sp.id, sp.write, sp.required});
     else {
       items[it->second].write |= sp.write;
       items[it->second].required |= sp.required;
     }
     spec_item[i] = it->second;
   }
+  if constexpr (S::kIsEdge) {
+    if (batching_enabled() && items.size() > 1) {
+      self_.counters().edge_batches += 1;
+      self_.counters().edge_batch_items += items.size();
+    }
+  }
 
   // Phase 0: batched write-lock upgrades for re-touched read-locked states
-  // (one overlapped CAS round set instead of one serial upgrade per vertex).
-  if (!upg_vids.empty()) {
+  // (one overlapped CAS round set instead of one serial upgrade per holder).
+  if (!upg_ids.empty()) {
     std::vector<std::uint8_t> got;
-    if (batching_enabled() && upg_vids.size() > 1) {
-      got = blocks.try_upgrade_many(self_, upg_vids, attempts);
+    if (batching_enabled() && upg_ids.size() > 1) {
+      got = blocks.try_upgrade_many(self_, upg_ids, attempts);
     } else {
-      got.assign(upg_vids.size(), 0);
-      for (std::size_t j = 0; j < upg_vids.size(); ++j)
+      got.assign(upg_ids.size(), 0);
+      for (std::size_t j = 0; j < upg_ids.size(); ++j)
         for (int a = 0; a < attempts && got[j] == 0; ++a)
-          if (blocks.try_upgrade_lock(self_, upg_vids[j])) got[j] = 1;
+          if (blocks.try_upgrade_lock(self_, upg_ids[j])) got[j] = 1;
     }
-    std::vector<Status> upg_st(upg_vids.size(), Status::kOk);
-    for (std::size_t j = 0; j < upg_vids.size(); ++j) {
-      VertexState* st = vcache_.find(upg_vids[j].raw())->second.get();
+    std::vector<Status> upg_st(upg_ids.size(), Status::kOk);
+    for (std::size_t j = 0; j < upg_ids.size(); ++j) {
+      S* st = states.find(upg_ids[j].raw())->second.get();
       if (got[j] != 0) {
         st->lock = LockState::kWrite;
         // Same-transaction write intent: cached window blocks are about to
         // diverge from the buffered holder, and the shared snapshot dies.
-        invalidate_cached_blocks(upg_vids[j], st->view.num_blocks(), [&](std::uint32_t b) {
+        invalidate_cached_blocks(upg_ids[j], st->view.num_blocks(), [&](std::uint32_t b) {
           return st->view.block_addr(b);
         });
-        scache_invalidate(upg_vids[j]);
+        scache_invalidate(upg_ids[j]);
       } else {
         upg_st[j] = fail(Status::kTxnConflict);
       }
@@ -559,12 +506,12 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
       // failing CAS returns the fresh word the retry needed anyway.
       std::uint64_t hint = 0;
       if (auto* sc = scache())
-        if (const auto* e = sc->find(it.vid)) hint = e->version;
+        if (const auto* e = sc->find(it.id)) hint = e->version;
       if (it.write) {
         for (int a = 0; a < attempts && !got; ++a)
-          got = blocks.try_write_lock(self_, it.vid, hint);
+          got = blocks.try_write_lock(self_, it.id, hint);
       } else {
-        got = blocks.try_read_lock(self_, it.vid, attempts, &it.word, hint);
+        got = blocks.try_read_lock(self_, it.id, attempts, &it.word, hint);
       }
       return got;
     };
@@ -578,16 +525,16 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
       std::vector<DPtr> wv;
       rv.reserve(read_idx.size());
       wv.reserve(write_idx.size());
-      for (std::size_t j : read_idx) rv.push_back(items[j].vid);
-      for (std::size_t j : write_idx) wv.push_back(items[j].vid);
+      for (std::size_t j : read_idx) rv.push_back(items[j].id);
+      for (std::size_t j : write_idx) wv.push_back(items[j].id);
       // Seed each word's first CAS with the same shared-cache version stamp
       // the serial path uses -- a warm row locks without burning the
       // learn-the-version round (empty hints = unhinted, identical ops).
       std::vector<std::uint64_t> hints_r;
       std::vector<std::uint64_t> hints_w;
       if (auto* sc = scache()) {
-        const auto hint_of = [&](DPtr vid) -> std::uint64_t {
-          const auto* e = sc->find(vid);
+        const auto hint_of = [&](DPtr id) -> std::uint64_t {
+          const auto* e = sc->find(id);
           return e != nullptr ? e->version : 0;
         };
         hints_r.reserve(rv.size());
@@ -608,7 +555,7 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
         if (won) {
           it.lock = granted;
           if (batch_locks && !words.empty()) it.word = words[k];
-          if (granted == LockState::kWrite) scache_invalidate(it.vid);
+          if (granted == LockState::kWrite) scache_invalidate(it.id);
           continue;
         }
         it.st = it.required ? fail(Status::kTxnConflict) : Status::kTxnConflict;
@@ -622,16 +569,16 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
   // Phase 1.5: shared-cache consultation. Read-locked items validate for
   // free against the word their lock CAS observed; kReadShared items share
   // one overlapped lock-word peek round, which doubles as the low bracket of
-  // the seqlock fill discipline for the entries we end up fetching.
+  // the seqlock fill discipline for the entries we end up fetching. Entries
+  // carry their holder kind, so a block recycled into the other kind never
+  // validates.
   auto install_from_entry = [&](Item& it, const cache::SharedBlockCache::Entry& e) {
-    auto st = std::make_unique<VertexState>();
+    auto st = std::make_unique<S>();
     st->lock = it.lock;
     st->buf = e.buf;
     st->view.reset_dirty();
-    st->orig_index_match.clear();
-    for (const auto& idx : db_->indexes())
-      st->orig_index_match.push_back(idx->matches(st->view) ? 1 : 0);
-    vcache_.emplace(it.vid.raw(), std::move(st));
+    if constexpr (!S::kIsEdge) snapshot_index_match(*st);
+    states.emplace(it.id.raw(), std::move(st));
     it.cached = true;
   };
   if (scache() != nullptr) {
@@ -640,7 +587,7 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
       std::vector<std::size_t> pidx;
       for (std::size_t j = 0; j < items.size(); ++j)
         if (ok(items[j].st)) {
-          pv.push_back(items[j].vid);
+          pv.push_back(items[j].id);
           pidx.push_back(j);
         }
       if (!pv.empty()) {
@@ -654,15 +601,15 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
           // wire *inside* this peek bracket: bytes already sitting in the
           // per-transaction block cache were read before the pre peek and
           // could predate a writer the bracket would never see.
-          it.fill_fresh = !blk_cache_.contains(it.vid.raw());
-          if (const auto* e = scache_lookup(it.vid, pw[k], /*want_edge=*/false))
+          it.fill_fresh = !blk_cache_.contains(it.id.raw());
+          if (const auto* e = scache_lookup(it.id, pw[k], S::kIsEdge))
             install_from_entry(it, *e);
         }
       }
     } else {
       for (auto& it : items) {
         if (!ok(it.st) || it.lock != LockState::kRead) continue;
-        if (const auto* e = scache_lookup(it.vid, it.word, /*want_edge=*/false))
+        if (const auto* e = scache_lookup(it.id, it.word, S::kIsEdge))
           install_from_entry(it, *e);
       }
     }
@@ -681,16 +628,16 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
     if (!(ok(it.st) && !it.cached &&
           (mode_ == TxnMode::kReadShared || it.lock != LockState::kNone)))
       continue;
-    to_fetch.push_back(it.vid);
+    to_fetch.push_back(it.id);
     if (scache() != nullptr &&
         (mode_ == TxnMode::kReadShared || it.lock == LockState::kRead))
       self_.counters().scache_misses += 1;
   }
   std::unordered_set<std::uint64_t> tainted;
   const bool populated = to_fetch.size() > 1;
-  if (populated) populate_block_cache(to_fetch, &tainted);
+  if (populated) populate_block_cache<S>(to_fetch, &tainted);
 
-  // Phase 3: materialize VertexStates (block-cache hits on the batched path).
+  // Phase 3: materialize states (block-cache hits on the batched path).
   // Read-locked fetches stamp straight into the shared cache (bytes read
   // under the lock, version from the acquiring CAS); kReadShared fetches
   // collect for the post-fill peek round below.
@@ -699,22 +646,22 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
     Item& it = items[j];
     if (!ok(it.st) || it.cached) continue;
     if (mode_ != TxnMode::kReadShared && it.lock == LockState::kNone) continue;
-    auto st = std::make_unique<VertexState>();
+    auto st = std::make_unique<S>();
     st->lock = it.lock;
     const std::uint64_t txn_hits_before = self_.counters().cache_hits;
-    if (Status s = fetch_vertex(it.vid, *st); !ok(s)) {
-      // Not a valid vertex: release the just-taken lock and report. Drop the
+    if (Status s = fetch_holder(it.id, *st); !ok(s)) {
+      // Not a valid holder: release the just-taken lock and report. Drop the
       // block from the cache too -- with the lock gone nothing pins its
       // bytes, and a later lookup of a recycled block must re-read.
-      blk_cache_.erase(it.vid.raw());
-      scache_invalidate(it.vid);
-      if (st->lock == LockState::kWrite) blocks.write_unlock(self_, it.vid);
-      if (st->lock == LockState::kRead) blocks.read_unlock(self_, it.vid);
+      blk_cache_.erase(it.id.raw());
+      scache_invalidate(it.id);
+      if (st->lock == LockState::kWrite) blocks.write_unlock(self_, it.id);
+      if (st->lock == LockState::kRead) blocks.read_unlock(self_, it.id);
       it.st = s;
       continue;
     }
     if (st->lock == LockState::kWrite)
-      invalidate_cached_blocks(it.vid, st->view.num_blocks(),
+      invalidate_cached_blocks(it.id, st->view.num_blocks(),
                                [&](std::uint32_t i) { return st->view.block_addr(i); });
     if (scache() != nullptr) {
       // Lock-free fill eligibility also requires every byte to have crossed
@@ -723,19 +670,19 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
       // singleton fetch that scored any per-transaction cache hit read
       // pre-bracket bytes and must not be stamped.
       const bool fresh =
-          it.fill_fresh && !tainted.contains(it.vid.raw()) &&
+          it.fill_fresh && !tainted.contains(it.id.raw()) &&
           (populated || self_.counters().cache_hits == txn_hits_before);
       if (st->lock == LockState::kRead) {
         // Locked fills need no bracket: block-cache bytes in a locking-mode
         // transaction were read under locks this transaction still holds,
         // so no writer can have completed since.
-        scache_fill(it.vid, st->buf, it.word, /*is_edge=*/false);
+        scache_fill(it.id, st->buf, it.word, S::kIsEdge);
       } else if (mode_ == TxnMode::kReadShared && it.have_pre && fresh &&
                  !block::BlockStore::write_locked(it.pre_word)) {
         fill_candidates.push_back(j);
       }
     }
-    vcache_.emplace(it.vid.raw(), std::move(st));
+    states.emplace(it.id.raw(), std::move(st));
   }
 
   // Phase 3.5: lock-free fills commit only if the holder proved stable across
@@ -744,7 +691,7 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
   if (!fill_candidates.empty()) {
     std::vector<DPtr> pv;
     pv.reserve(fill_candidates.size());
-    for (std::size_t j : fill_candidates) pv.push_back(items[j].vid);
+    for (std::size_t j : fill_candidates) pv.push_back(items[j].id);
     std::vector<std::uint64_t> post(pv.size(), 0);
     blocks.peek_lock_words(self_, pv, post, batching_enabled());
     for (std::size_t k = 0; k < fill_candidates.size(); ++k) {
@@ -753,257 +700,8 @@ Status Transaction::fetch_vertices_batch(std::span<const FetchSpec> specs,
           block::BlockStore::version_of(post[k]) !=
               block::BlockStore::version_of(it.pre_word))
         continue;
-      const VertexState* st = vcache_.find(it.vid.raw())->second.get();
-      scache_fill(it.vid, st->buf, post[k], /*is_edge=*/false);
-    }
-  }
-
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    if (spec_item[i] != SIZE_MAX) per[i] = items[spec_item[i]].st;
-  return doom;
-}
-
-Status Transaction::fetch_edges_batch(std::span<const EdgeFetchSpec> specs,
-                                      std::span<Status> per) {
-  assert(per.size() == specs.size());
-  if (!active_ || failed_) {
-    std::fill(per.begin(), per.end(), Status::kTxnAborted);
-    return Status::kTxnAborted;
-  }
-
-  Status doom = Status::kOk;
-  const int attempts = db_->config().lock_attempts;
-  auto& blocks = db_->blocks();
-
-  // Deduplicate by eid; eids with a state resolve through the ecache_ hit
-  // path (upgrades stay serial -- write re-touches of edge holders are rare
-  // enough that a dedicated CAS round would not pay for itself).
-  struct Item {
-    DPtr eid;
-    bool write = false;
-    bool required = false;
-    LockState lock = LockState::kNone;
-    std::uint64_t word = 0;
-    std::uint64_t pre_word = 0;
-    bool have_pre = false;
-    bool cached = false;
-    bool fill_fresh = false;  ///< kReadShared: bytes will come off the wire
-    Status st = Status::kOk;
-  };
-  std::vector<Item> items;
-  std::unordered_map<std::uint64_t, std::size_t> item_of;
-  std::vector<std::size_t> spec_item(specs.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const EdgeFetchSpec& sp = specs[i];
-    if (sp.eid.is_null()) {
-      per[i] = Status::kInvalidArgument;
-      continue;
-    }
-    if (ecache_.contains(sp.eid.raw())) {
-      auto r = edge_state(EdgeHandle{sp.eid}, sp.write);  // hit branch only
-      per[i] = r.ok() ? Status::kOk : r.status();
-      if (sp.required && is_transaction_critical(per[i]) && ok(doom)) doom = per[i];
-      continue;
-    }
-    auto [it, fresh] = item_of.try_emplace(sp.eid.raw(), items.size());
-    if (fresh) items.push_back(Item{sp.eid, sp.write, sp.required});
-    else {
-      items[it->second].write |= sp.write;
-      items[it->second].required |= sp.required;
-    }
-    spec_item[i] = it->second;
-  }
-  if (!items.empty() && batching_enabled() && items.size() > 1) {
-    self_.counters().edge_batches += 1;
-    self_.counters().edge_batch_items += items.size();
-  }
-
-  // Phase 1: locks (same shape as the vertex path).
-  if (mode_ == TxnMode::kReadShared) {
-    for (auto& it : items) {
-      if (!it.write) continue;
-      it.st = Status::kTxnReadOnly;
-      if (it.required) {
-        (void)fail(Status::kTxnReadOnly);
-        if (ok(doom)) doom = Status::kTxnReadOnly;
-      }
-    }
-  } else {
-    std::vector<std::size_t> read_idx;
-    std::vector<std::size_t> write_idx;
-    for (std::size_t j = 0; j < items.size(); ++j)
-      (items[j].write ? write_idx : read_idx).push_back(j);
-    auto lock_serial = [&](Item& it) {
-      bool got = false;
-      // Version-stamp hint, exactly as on the vertex path.
-      std::uint64_t hint = 0;
-      if (auto* sc = scache())
-        if (const auto* e = sc->find(it.eid)) hint = e->version;
-      if (it.write) {
-        for (int a = 0; a < attempts && !got; ++a)
-          got = blocks.try_write_lock(self_, it.eid, hint);
-      } else {
-        got = blocks.try_read_lock(self_, it.eid, attempts, &it.word, hint);
-      }
-      return got;
-    };
-    const bool batch_locks =
-        batching_enabled() && read_idx.size() + write_idx.size() > 1;
-    std::vector<std::uint8_t> got_r;
-    std::vector<std::uint8_t> got_w;
-    std::vector<std::uint64_t> words_r;
-    if (batch_locks) {
-      std::vector<DPtr> rv;
-      std::vector<DPtr> wv;
-      rv.reserve(read_idx.size());
-      wv.reserve(write_idx.size());
-      for (std::size_t j : read_idx) rv.push_back(items[j].eid);
-      for (std::size_t j : write_idx) wv.push_back(items[j].eid);
-      // Version-stamp hints, exactly as on the vertex batch path.
-      std::vector<std::uint64_t> hints_r;
-      std::vector<std::uint64_t> hints_w;
-      if (auto* sc = scache()) {
-        const auto hint_of = [&](DPtr eid) -> std::uint64_t {
-          const auto* e = sc->find(eid);
-          return e != nullptr ? e->version : 0;
-        };
-        hints_r.reserve(rv.size());
-        hints_w.reserve(wv.size());
-        for (DPtr e : rv) hints_r.push_back(hint_of(e));
-        for (DPtr e : wv) hints_w.push_back(hint_of(e));
-      }
-      if (!rv.empty())
-        got_r = blocks.try_read_lock_many(self_, rv, attempts, &words_r, hints_r);
-      if (!wv.empty()) got_w = blocks.try_write_lock_many(self_, wv, attempts, hints_w);
-    }
-    auto apply = [&](std::span<const std::size_t> idx,
-                     std::span<const std::uint8_t> got,
-                     std::span<const std::uint64_t> words, LockState granted) {
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        Item& it = items[idx[k]];
-        const bool won = batch_locks ? got[k] != 0 : lock_serial(it);
-        if (won) {
-          it.lock = granted;
-          if (batch_locks && !words.empty()) it.word = words[k];
-          if (granted == LockState::kWrite) scache_invalidate(it.eid);
-          continue;
-        }
-        it.st = it.required ? fail(Status::kTxnConflict) : Status::kTxnConflict;
-        if (it.required && ok(doom)) doom = Status::kTxnConflict;
-      }
-    };
-    apply(read_idx, got_r, words_r, LockState::kRead);
-    apply(write_idx, got_w, {}, LockState::kWrite);
-  }
-
-  // Phase 1.5: shared-cache consultation (same validation rules as vertices;
-  // edge entries are distinguished by their is_edge tag).
-  auto install_from_entry = [&](Item& it, const cache::SharedBlockCache::Entry& e) {
-    auto st = std::make_unique<EdgeState>();
-    st->lock = it.lock;
-    st->buf = e.buf;
-    st->view.reset_dirty();
-    ecache_.emplace(it.eid.raw(), std::move(st));
-    it.cached = true;
-  };
-  if (scache() != nullptr) {
-    if (mode_ == TxnMode::kReadShared) {
-      std::vector<DPtr> pv;
-      std::vector<std::size_t> pidx;
-      for (std::size_t j = 0; j < items.size(); ++j)
-        if (ok(items[j].st)) {
-          pv.push_back(items[j].eid);
-          pidx.push_back(j);
-        }
-      if (!pv.empty()) {
-        std::vector<std::uint64_t> pw(pv.size(), 0);
-        blocks.peek_lock_words(self_, pv, pw, batching_enabled());
-        for (std::size_t k = 0; k < pidx.size(); ++k) {
-          Item& it = items[pidx[k]];
-          it.pre_word = pw[k];
-          it.have_pre = true;
-          // See the vertex path: pre-bracket per-transaction cache bytes are
-          // not fill-eligible.
-          it.fill_fresh = !blk_cache_.contains(it.eid.raw());
-          if (const auto* e = scache_lookup(it.eid, pw[k], /*want_edge=*/true))
-            install_from_entry(it, *e);
-        }
-      }
-    } else {
-      for (auto& it : items) {
-        if (!ok(it.st) || it.lock != LockState::kRead) continue;
-        if (const auto* e = scache_lookup(it.eid, it.word, /*want_edge=*/true))
-          install_from_entry(it, *e);
-      }
-    }
-  }
-
-  // Phase 2: block population for the misses (one primary batch + one tail
-  // batch for the whole set). Miss accounting and taint tracking mirror the
-  // vertex path.
-  std::vector<DPtr> to_fetch;
-  to_fetch.reserve(items.size());
-  for (const auto& it : items) {
-    if (!(ok(it.st) && !it.cached &&
-          (mode_ == TxnMode::kReadShared || it.lock != LockState::kNone)))
-      continue;
-    to_fetch.push_back(it.eid);
-    if (scache() != nullptr &&
-        (mode_ == TxnMode::kReadShared || it.lock == LockState::kRead))
-      self_.counters().scache_misses += 1;
-  }
-  std::unordered_set<std::uint64_t> tainted;
-  const bool populated = to_fetch.size() > 1;
-  if (populated) populate_edge_block_cache(to_fetch, &tainted);
-
-  // Phase 3: materialize EdgeStates; fills mirror the vertex path.
-  std::vector<std::size_t> fill_candidates;
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    Item& it = items[j];
-    if (!ok(it.st) || it.cached) continue;
-    if (mode_ != TxnMode::kReadShared && it.lock == LockState::kNone) continue;
-    auto st = std::make_unique<EdgeState>();
-    st->lock = it.lock;
-    const std::uint64_t txn_hits_before = self_.counters().cache_hits;
-    if (Status s = fetch_edge(it.eid, *st); !ok(s)) {
-      blk_cache_.erase(it.eid.raw());  // see vertex path: nothing pins the bytes
-      scache_invalidate(it.eid);
-      if (st->lock == LockState::kWrite) blocks.write_unlock(self_, it.eid);
-      if (st->lock == LockState::kRead) blocks.read_unlock(self_, it.eid);
-      it.st = s;
-      continue;
-    }
-    if (st->lock == LockState::kWrite)
-      invalidate_cached_blocks(it.eid, st->view.num_blocks(),
-                               [&](std::uint32_t i) { return st->view.block_addr(i); });
-    if (scache() != nullptr) {
-      const bool fresh =
-          it.fill_fresh && !tainted.contains(it.eid.raw()) &&
-          (populated || self_.counters().cache_hits == txn_hits_before);
-      if (st->lock == LockState::kRead) {
-        scache_fill(it.eid, st->buf, it.word, /*is_edge=*/true);
-      } else if (mode_ == TxnMode::kReadShared && it.have_pre && fresh &&
-                 !block::BlockStore::write_locked(it.pre_word)) {
-        fill_candidates.push_back(j);
-      }
-    }
-    ecache_.emplace(it.eid.raw(), std::move(st));
-  }
-
-  if (!fill_candidates.empty()) {
-    std::vector<DPtr> pv;
-    pv.reserve(fill_candidates.size());
-    for (std::size_t j : fill_candidates) pv.push_back(items[j].eid);
-    std::vector<std::uint64_t> post(pv.size(), 0);
-    blocks.peek_lock_words(self_, pv, post, batching_enabled());
-    for (std::size_t k = 0; k < fill_candidates.size(); ++k) {
-      const Item& it = items[fill_candidates[k]];
-      if (block::BlockStore::write_locked(post[k]) ||
-          block::BlockStore::version_of(post[k]) !=
-              block::BlockStore::version_of(it.pre_word))
-        continue;
-      const EdgeState* st = ecache_.find(it.eid.raw())->second.get();
-      scache_fill(it.eid, st->buf, post[k], /*is_edge=*/true);
+      const S* st = states.find(it.id.raw())->second.get();
+      scache_fill(it.id, st->buf, post[k], S::kIsEdge);
     }
   }
 
@@ -1016,148 +714,66 @@ Status Transaction::fetch_edges_batch(std::span<const EdgeFetchSpec> specs,
 // Locking & fetching
 // ---------------------------------------------------------------------------
 
-Status Transaction::acquire_vertex_lock(VertexState& st, DPtr vid, bool write) {
-  if (mode_ == TxnMode::kReadShared) {
-    // Paper's optimized read-only transaction: no locks, assumes no
-    // concurrent writers.
-    return write ? fail(Status::kTxnReadOnly) : Status::kOk;
-  }
-  auto& blocks = db_->blocks();
-  const int attempts = db_->config().lock_attempts;
-  if (write) {
-    if (st.lock == LockState::kWrite) return Status::kOk;
-    if (st.lock == LockState::kRead) {
-      for (int i = 0; i < attempts; ++i) {
-        if (blocks.try_upgrade_lock(self_, vid)) {
-          st.lock = LockState::kWrite;
-          return Status::kOk;
-        }
-      }
-      return fail(Status::kTxnConflict);
-    }
-    for (int i = 0; i < attempts; ++i) {
-      if (blocks.try_write_lock(self_, vid)) {
-        st.lock = LockState::kWrite;
-        return Status::kOk;
-      }
-    }
-    return fail(Status::kTxnConflict);
-  }
-  if (st.lock != LockState::kNone) return Status::kOk;
-  if (blocks.try_read_lock(self_, vid, attempts)) {
-    st.lock = LockState::kRead;
-    return Status::kOk;
-  }
-  return fail(Status::kTxnConflict);
-}
-
-Status Transaction::fetch_vertex(DPtr vid, VertexState& st) {
-  auto& blocks = db_->blocks();
-  const std::size_t B = blocks.block_size();
-  // One GET suffices for a one-block vertex -- the BGDL design goal.
+template <class S>
+Status Transaction::fetch_holder(DPtr id, S& st) {
+  const std::size_t B = db_->blocks().block_size();
+  // One GET suffices for a one-block holder -- the BGDL design goal.
   st.buf.resize(B);
-  cache_read_block(vid, st.buf.data());
+  cache_read_block(id, st.buf.data());
   if (!st.view.valid()) return Status::kNotFound;
-  const std::size_t total =
-      layout::VertexView::required_size(st.view.table_capacity(), st.view.edge_capacity(),
-                                        st.view.prop_capacity());
-  if (total > B) {
-    st.buf.resize(total);
-    // Continuation blocks: cache-served or fetched as one overlapped batch.
+  const std::size_t total = S::required_size(st.view);
+  st.buf.resize(total);
+  // Continuation blocks: cache-served or fetched as one overlapped batch.
+  if (total > B)
     read_tail_blocks(st.buf, total, st.view.num_blocks(),
                      [&](std::uint32_t i) { return st.view.block_addr(i); });
-  } else {
-    st.buf.resize(total);
-  }
   st.view.reset_dirty();
-  // Snapshot index membership for commit-time delta maintenance.
+  if constexpr (!S::kIsEdge) snapshot_index_match(st);
+  return Status::kOk;
+}
+
+void Transaction::snapshot_index_match(VertexState& st) {
   st.orig_index_match.clear();
   for (const auto& idx : db_->indexes())
     st.orig_index_match.push_back(idx->matches(st.view) ? 1 : 0);
-  return Status::kOk;
 }
 
-Result<Transaction::VertexState*> Transaction::vertex_state(VertexHandle v,
-                                                            bool for_write) {
+template <class S>
+Result<S*> Transaction::state(DPtr id, bool for_write) {
   if (!active_ || failed_) return Status::kTxnAborted;
-  if (!v.valid()) return Status::kInvalidArgument;
+  if (id.is_null()) return Status::kInvalidArgument;
   if (for_write) {
     if (Status s = check_writable(); !ok(s)) return fail(s);
   }
-  auto it = vcache_.find(v.vid.raw());
-  if (it != vcache_.end()) {
-    VertexState* st = it->second.get();
-    if (st->deleted) return Status::kNotFound;
-    if (for_write && st->lock != LockState::kWrite && !st->created) {
-      if (Status s = acquire_vertex_lock(*st, v.vid, true); !ok(s)) return s;
-      // Same-transaction write intent: the cached window blocks are about to
-      // diverge from the buffered holder -- drop them (shared snapshot too).
-      invalidate_cached_blocks(v.vid, st->view.num_blocks(),
-                               [&](std::uint32_t i) { return st->view.block_addr(i); });
-      scache_invalidate(v.vid);
-    }
-    return st;
-  }
-  // Miss: a one-element trip through the shared batch path (which degenerates
-  // to blocking lock + fetch for singletons).
-  const FetchSpec spec{v.vid, for_write, /*required=*/true};
-  Status st = Status::kOk;
-  (void)fetch_vertices_batch(std::span<const FetchSpec>(&spec, 1),
-                             std::span<Status>(&st, 1));
-  if (!ok(st)) return st;
-  return vcache_.find(v.vid.raw())->second.get();
-}
-
-Status Transaction::fetch_edge(DPtr eid, EdgeState& st) {
-  const std::size_t B = db_->blocks().block_size();
-  st.buf.resize(B);
-  cache_read_block(eid, st.buf.data());
-  if (!st.view.valid()) return Status::kNotFound;
-  const std::size_t total = layout::EdgeView::required_size(st.view.prop_capacity());
-  if (total > B) {
-    st.buf.resize(total);
-    read_tail_blocks(st.buf, total, st.view.num_blocks(),
-                     [&](std::uint32_t i) { return st.view.block_addr(i); });
-  } else {
-    st.buf.resize(total);
-  }
-  st.view.reset_dirty();
-  return Status::kOk;
-}
-
-Result<Transaction::EdgeState*> Transaction::edge_state(EdgeHandle e, bool for_write) {
-  if (!active_ || failed_) return Status::kTxnAborted;
-  if (!e.valid()) return Status::kInvalidArgument;
-  if (for_write) {
-    if (Status s = check_writable(); !ok(s)) return fail(s);
-  }
-  auto it = ecache_.find(e.eid.raw());
-  if (it != ecache_.end()) {
-    EdgeState* st = it->second.get();
+  auto& states = holders<S>();
+  auto it = states.find(id.raw());
+  if (it != states.end()) {
+    S* st = it->second.get();
     if (st->deleted) return Status::kNotFound;
     if (for_write && st->lock != LockState::kWrite && !st->created) {
       auto& blocks = db_->blocks();
       bool got = false;
       for (int i = 0; i < db_->config().lock_attempts && !got; ++i) {
-        got = st->lock == LockState::kRead ? blocks.try_upgrade_lock(self_, e.eid)
-                                           : blocks.try_write_lock(self_, e.eid);
+        got = st->lock == LockState::kRead ? blocks.try_upgrade_lock(self_, id)
+                                           : blocks.try_write_lock(self_, id);
       }
       if (!got) return fail(Status::kTxnConflict);
       st->lock = LockState::kWrite;
-      invalidate_cached_blocks(e.eid, st->view.num_blocks(),
+      // Same-transaction write intent: the cached window blocks are about to
+      // diverge from the buffered holder -- drop them (shared snapshot too).
+      invalidate_cached_blocks(id, st->view.num_blocks(),
                                [&](std::uint32_t i) { return st->view.block_addr(i); });
-      scache_invalidate(e.eid);
+      scache_invalidate(id);
     }
     return st;
   }
-  // Miss: a one-element trip through the shared edge batch path (which
-  // degenerates to blocking lock + fetch for singletons).
-  const EdgeFetchSpec spec{e.eid, for_write, /*required=*/true};
+  // Miss: a one-element trip through the shared batch path (which degenerates
+  // to blocking lock + fetch for singletons).
+  const FetchSpec spec{id, for_write, /*required=*/true};
   Status st = Status::kOk;
-  (void)fetch_edges_batch(std::span<const EdgeFetchSpec>(&spec, 1),
-                          std::span<Status>(&st, 1));
+  (void)fetch_batch<S>(std::span<const FetchSpec>(&spec, 1), std::span<Status>(&st, 1));
   if (!ok(st)) return st;
-  return ecache_.find(e.eid.raw())->second.get();
+  return states.find(id.raw())->second.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,7 +830,7 @@ Result<DPtr> Transaction::translate_vertex_id(std::uint64_t app_id) {
 }
 
 Result<VertexHandle> Transaction::associate_vertex(DPtr vid) {
-  auto st = vertex_state(VertexHandle{vid}, /*for_write=*/false);
+  auto st = state(VertexHandle{vid}, /*for_write=*/false);
   if (!st.ok()) return st.status();
   return VertexHandle{vid};
 }
@@ -1230,7 +846,7 @@ Result<VertexHandle> Transaction::find_vertex(std::uint64_t app_id) {
 }
 
 Status Transaction::delete_vertex(VertexHandle v) {
-  auto r = vertex_state(v, /*for_write=*/true);
+  auto r = state(v, /*for_write=*/true);
   if (!r.ok()) return r.status();
   VertexState* st = *r;
 
@@ -1239,12 +855,12 @@ Status Transaction::delete_vertex(VertexHandle v) {
   st->view.for_each_edge([&](std::uint32_t, const EdgeRecord& rec) { recs.push_back(rec); });
   for (const auto& rec : recs) {
     if (!rec.heavy.is_null()) {
-      auto er = edge_state(EdgeHandle{rec.heavy}, /*for_write=*/true);
-      if (er.ok()) (*er)->deleted = true;
+      auto er = state(EdgeHandle{rec.heavy}, /*for_write=*/true);
+      if (er.ok()) mark_deleted(**er);
       else if (is_transaction_critical(er.status())) return er.status();
     }
     if (rec.neighbor == v.vid) continue;  // self-loop: same holder
-    auto nr = vertex_state(VertexHandle{rec.neighbor}, /*for_write=*/true);
+    auto nr = state(VertexHandle{rec.neighbor}, /*for_write=*/true);
     if (!nr.ok()) {
       if (is_transaction_critical(nr.status())) return nr.status();
       continue;  // neighbor already gone
@@ -1257,8 +873,7 @@ Status Transaction::delete_vertex(VertexHandle v) {
     });
   }
 
-  st->view.set_valid(false);
-  st->deleted = true;
+  mark_deleted(*st);
   return Status::kOk;
 }
 
@@ -1291,76 +906,109 @@ Result<std::uint64_t> Transaction::peek_app_id(DPtr vid) {
 }
 
 Result<std::uint64_t> Transaction::app_id_of(VertexHandle v) {
-  auto r = vertex_state(v, false);
+  auto r = state(v, false);
   if (!r.ok()) return r.status();
   return (*r)->view.app_id();
 }
 
-Status Transaction::add_label(VertexHandle v, std::uint32_t label_id) {
-  auto r = vertex_state(v, true);
+// ---------------------------------------------------------------------------
+// Labels & properties (one body per operation, shared by both holder kinds)
+// ---------------------------------------------------------------------------
+
+template <class S>
+Status Transaction::add_label_to(DPtr id, std::uint32_t label_id) {
+  auto r = state<S>(id, true);
   if (!r.ok()) return r.status();
-  VertexState* st = *r;
+  S* st = *r;
   if (st->view.has_label(label_id)) return Status::kAlreadyExists;
   if (Status s = ensure_prop_capacity(*st, 16); !ok(s)) return s;
   return st->view.add_label(label_id);
 }
 
-Status Transaction::remove_label(VertexHandle v, std::uint32_t label_id) {
-  auto r = vertex_state(v, true);
+template <class S>
+Status Transaction::remove_label_from(DPtr id, std::uint32_t label_id) {
+  auto r = state<S>(id, true);
   if (!r.ok()) return r.status();
   return (*r)->view.remove_label(label_id) ? Status::kOk : Status::kNotFound;
 }
 
-Result<std::vector<std::uint32_t>> Transaction::labels_of(VertexHandle v) {
-  auto r = vertex_state(v, false);
+template <class S>
+Result<std::vector<std::uint32_t>> Transaction::labels_on(DPtr id) {
+  auto r = state<S>(id, false);
   if (!r.ok()) return r.status();
   return (*r)->view.labels();
 }
 
-Status Transaction::add_property(VertexHandle v, std::uint32_t ptype,
-                                 const PropValue& value) {
+template <class S>
+Status Transaction::put_property(DPtr id, std::uint32_t ptype, const PropValue& value,
+                                 bool replace) {
   const PropertyType* def = db_->ptype(self_, ptype);
   if (def == nullptr) return Status::kInvalidArgument;
-  if (def->etype == EntityType::kEdge) return Status::kInvalidArgument;
-  auto r = vertex_state(v, true);
+  if (def->etype != EntityType::kVertexAndEdge && def->etype != S::kEntity)
+    return Status::kInvalidArgument;
+  auto r = state<S>(id, true);
   if (!r.ok()) return r.status();
-  VertexState* st = *r;
+  S* st = *r;
   const auto bytes = encode_value(value);
   if (def->stype == SizeType::kFixed && bytes.size() != def->max_size)
     return Status::kConstraintViolated;
   if (def->stype == SizeType::kLimited && bytes.size() > def->max_size)
     return Status::kConstraintViolated;
-  if (def->mult == Multiplicity::kSingle && st->view.count_props(ptype) > 0)
+  if (!replace && def->mult == Multiplicity::kSingle && st->view.count_props(ptype) > 0)
     return Status::kConstraintViolated;
+  // Room first: a refused update must leave the old entries in place (their
+  // removal is buffered and would otherwise commit). Removing them first
+  // would not make room anyway -- removal tombstones, it does not shrink
+  // prop_used, which is what the capacity check counts.
   if (Status s = ensure_prop_capacity(*st, static_cast<std::uint32_t>(bytes.size()) + 16);
       !ok(s))
     return s;
+  if (replace) (void)st->view.remove_entries(ptype);
   return st->view.add_entry(ptype, bytes);
+}
+
+template <class S>
+Result<std::vector<PropValue>> Transaction::properties_on(DPtr id, std::uint32_t ptype) {
+  const PropertyType* def = db_->ptype(self_, ptype);
+  if (def == nullptr) return Status::kInvalidArgument;
+  auto r = state<S>(id, false);
+  if (!r.ok()) return r.status();
+  std::vector<PropValue> out;
+  for (const auto& raw : (*r)->view.get_props(ptype))
+    out.push_back(decode_value(def->dtype, raw));
+  return out;
+}
+
+Status Transaction::add_label(VertexHandle v, std::uint32_t label_id) {
+  return add_label_to<VertexState>(v.vid, label_id);
+}
+
+Status Transaction::remove_label(VertexHandle v, std::uint32_t label_id) {
+  return remove_label_from<VertexState>(v.vid, label_id);
+}
+
+Result<std::vector<std::uint32_t>> Transaction::labels_of(VertexHandle v) {
+  return labels_on<VertexState>(v.vid);
+}
+
+Status Transaction::add_property(VertexHandle v, std::uint32_t ptype,
+                                 const PropValue& value) {
+  return put_property<VertexState>(v.vid, ptype, value, /*replace=*/false);
 }
 
 Status Transaction::update_property(VertexHandle v, std::uint32_t ptype,
                                     const PropValue& value) {
-  const PropertyType* def = db_->ptype(self_, ptype);
-  if (def == nullptr) return Status::kInvalidArgument;
-  auto r = vertex_state(v, true);
-  if (!r.ok()) return r.status();
-  VertexState* st = *r;
-  (void)st->view.remove_entries(ptype);
-  const auto bytes = encode_value(value);
-  if (Status s = ensure_prop_capacity(*st, static_cast<std::uint32_t>(bytes.size()) + 16);
-      !ok(s))
-    return s;
-  return st->view.add_entry(ptype, bytes);
+  return put_property<VertexState>(v.vid, ptype, value, /*replace=*/true);
 }
 
 Status Transaction::remove_properties(VertexHandle v, std::uint32_t ptype) {
-  auto r = vertex_state(v, true);
+  auto r = state(v, true);
   if (!r.ok()) return r.status();
   return (*r)->view.remove_entries(ptype) > 0 ? Status::kOk : Status::kNotFound;
 }
 
 Status Transaction::remove_all_properties(VertexHandle v) {
-  auto r = vertex_state(v, true);
+  auto r = state(v, true);
   if (!r.ok()) return r.status();
   VertexState* st = *r;
   for (std::uint32_t pt : st->view.ptypes()) (void)st->view.remove_entries(pt);
@@ -1370,18 +1018,11 @@ Status Transaction::remove_all_properties(VertexHandle v) {
 
 Result<std::vector<PropValue>> Transaction::get_properties(VertexHandle v,
                                                            std::uint32_t ptype) {
-  const PropertyType* def = db_->ptype(self_, ptype);
-  if (def == nullptr) return Status::kInvalidArgument;
-  auto r = vertex_state(v, false);
-  if (!r.ok()) return r.status();
-  std::vector<PropValue> out;
-  for (const auto& raw : (*r)->view.get_props(ptype))
-    out.push_back(decode_value(def->dtype, raw));
-  return out;
+  return properties_on<VertexState>(v.vid, ptype);
 }
 
 Result<std::vector<std::uint32_t>> Transaction::ptypes_of(VertexHandle v) {
-  auto r = vertex_state(v, false);
+  auto r = state(v, false);
   if (!r.ok()) return r.status();
   return (*r)->view.ptypes();
 }
@@ -1392,12 +1033,12 @@ Result<std::vector<std::uint32_t>> Transaction::ptypes_of(VertexHandle v) {
 
 Result<EdgeUid> Transaction::create_edge(VertexHandle origin, VertexHandle target,
                                          Dir dir, std::uint32_t label_id) {
-  auto ro = vertex_state(origin, true);
+  auto ro = state(origin, true);
   if (!ro.ok()) return ro.status();
   VertexState* ost = *ro;
   VertexState* tst = ost;
   if (target.vid != origin.vid) {
-    auto rt = vertex_state(target, true);
+    auto rt = state(target, true);
     if (!rt.ok()) return rt.status();
     tst = *rt;
   }
@@ -1421,7 +1062,7 @@ Result<EdgeUid> Transaction::create_edge(VertexHandle origin, VertexHandle targe
 
 Status Transaction::delete_edge(VertexHandle base, const EdgeUid& uid) {
   if (uid.vertex != base.vid) return Status::kInvalidArgument;
-  auto r = vertex_state(base, true);
+  auto r = state(base, true);
   if (!r.ok()) return r.status();
   VertexState* st = *r;
   const std::uint32_t slot = st->view.slot_of_offset(uid.offset);
@@ -1431,15 +1072,15 @@ Status Transaction::delete_edge(VertexHandle base, const EdgeUid& uid) {
   (void)st->view.remove_edge(slot);
 
   if (!rec.heavy.is_null()) {
-    auto er = edge_state(EdgeHandle{rec.heavy}, true);
-    if (er.ok()) (*er)->deleted = true;
+    auto er = state(EdgeHandle{rec.heavy}, true);
+    if (er.ok()) mark_deleted(**er);
     else if (is_transaction_critical(er.status())) return er.status();
   }
 
   const bool self_loop_undirected =
       rec.neighbor == base.vid && rec.dir == Dir::kUndirected;
   if (!self_loop_undirected) {
-    auto nr = vertex_state(VertexHandle{rec.neighbor}, true);
+    auto nr = state(VertexHandle{rec.neighbor}, true);
     if (!nr.ok()) {
       if (is_transaction_critical(nr.status())) return nr.status();
       return Status::kOk;  // neighbor vanished; nothing to mirror-remove
@@ -1470,7 +1111,7 @@ Result<std::vector<EdgeDesc>> Transaction::edges_of(VertexHandle v, DirFilter f,
 
 Result<std::vector<EdgeDesc>> Transaction::edges_of_impl(VertexHandle v, DirFilter f,
                                                          const Constraint* c) {
-  auto r = vertex_state(v, false);
+  auto r = state(v, false);
   if (!r.ok()) return r.status();
   VertexState* st = *r;
   std::vector<EdgeDesc> out;
@@ -1481,7 +1122,7 @@ Result<std::vector<EdgeDesc>> Transaction::edges_of_impl(VertexHandle v, DirFilt
       if (rec.heavy.is_null()) {
         if (!c->matches_lw_edge(rec.label_id)) return;
       } else {
-        auto er = edge_state(EdgeHandle{rec.heavy}, false);
+        auto er = state(EdgeHandle{rec.heavy}, false);
         if (!er.ok()) {
           if (is_transaction_critical(er.status())) deferred = er.status();
           return;
@@ -1507,7 +1148,7 @@ Result<std::vector<DPtr>> Transaction::neighbors_of(VertexHandle v, DirFilter f,
 }
 
 Result<std::size_t> Transaction::count_edges(VertexHandle v, DirFilter f) {
-  auto r = vertex_state(v, false);
+  auto r = state(v, false);
   if (!r.ok()) return r.status();
   std::size_t n = 0;
   (*r)->view.for_each_edge([&](std::uint32_t, const EdgeRecord& rec) {
@@ -1543,12 +1184,12 @@ Result<EdgeHandle> Transaction::create_heavy_edge(VertexHandle origin,
   ecache_.emplace(eid.raw(), std::move(st));
 
   // Anchor records in both endpoint holders point at the heavy holder.
-  auto ro = vertex_state(origin, true);
+  auto ro = state(origin, true);
   if (!ro.ok()) return ro.status();
   VertexState* ost = *ro;
   VertexState* tst = ost;
   if (target.vid != origin.vid) {
-    auto rt = vertex_state(target, true);
+    auto rt = state(target, true);
     if (!rt.ok()) return rt.status();
     tst = *rt;
   }
@@ -1566,89 +1207,42 @@ Result<EdgeHandle> Transaction::create_heavy_edge(VertexHandle origin,
 }
 
 Result<EdgeHandle> Transaction::associate_edge(DPtr eid) {
-  auto r = edge_state(EdgeHandle{eid}, false);
+  auto r = state(EdgeHandle{eid}, false);
   if (!r.ok()) return r.status();
   return EdgeHandle{eid};
 }
 
 Result<std::pair<DPtr, DPtr>> Transaction::edge_endpoints(EdgeHandle e) {
-  auto r = edge_state(e, false);
+  auto r = state(e, false);
   if (!r.ok()) return r.status();
   return std::make_pair((*r)->view.origin(), (*r)->view.target());
 }
 
 Status Transaction::add_edge_label(EdgeHandle e, std::uint32_t label_id) {
-  auto r = edge_state(e, true);
-  if (!r.ok()) return r.status();
-  EdgeState* st = *r;
-  if (st->view.has_label(label_id)) return Status::kAlreadyExists;
-  if (Status s = ensure_edge_prop_capacity(*st, 16); !ok(s)) return s;
-  return st->view.add_label(label_id);
+  return add_label_to<EdgeState>(e.eid, label_id);
 }
 
 Status Transaction::remove_edge_label(EdgeHandle e, std::uint32_t label_id) {
-  auto r = edge_state(e, true);
-  if (!r.ok()) return r.status();
-  return (*r)->view.remove_label(label_id) ? Status::kOk : Status::kNotFound;
+  return remove_label_from<EdgeState>(e.eid, label_id);
 }
 
 Result<std::vector<std::uint32_t>> Transaction::edge_labels_of(EdgeHandle e) {
-  auto r = edge_state(e, false);
-  if (!r.ok()) return r.status();
-  return (*r)->view.labels();
+  return labels_on<EdgeState>(e.eid);
 }
 
 Status Transaction::add_edge_property(EdgeHandle e, std::uint32_t ptype,
                                       const PropValue& value) {
-  const PropertyType* def = db_->ptype(self_, ptype);
-  if (def == nullptr) return Status::kInvalidArgument;
-  if (def->etype == EntityType::kVertex) return Status::kInvalidArgument;
-  auto r = edge_state(e, true);
-  if (!r.ok()) return r.status();
-  EdgeState* st = *r;
-  const auto bytes = encode_value(value);
-  if (def->stype == SizeType::kFixed && bytes.size() != def->max_size)
-    return Status::kConstraintViolated;
-  if (def->stype == SizeType::kLimited && bytes.size() > def->max_size)
-    return Status::kConstraintViolated;
-  if (def->mult == Multiplicity::kSingle) {
-    int n = 0;
-    st->view.for_each_entry([&](std::uint32_t id, auto) {
-      if (id == ptype) ++n;
-    });
-    if (n > 0) return Status::kConstraintViolated;
-  }
-  if (Status s = ensure_edge_prop_capacity(*st, static_cast<std::uint32_t>(bytes.size()) + 16);
-      !ok(s))
-    return s;
-  return st->view.add_entry(ptype, bytes);
+  return put_property<EdgeState>(e.eid, ptype, value, /*replace=*/false);
 }
 
 Status Transaction::update_edge_property(EdgeHandle e, std::uint32_t ptype,
                                          const PropValue& value) {
-  const PropertyType* def = db_->ptype(self_, ptype);
-  if (def == nullptr) return Status::kInvalidArgument;
-  auto r = edge_state(e, true);
-  if (!r.ok()) return r.status();
-  EdgeState* st = *r;
-  (void)st->view.remove_entries(ptype);
-  const auto bytes = encode_value(value);
-  if (Status s = ensure_edge_prop_capacity(*st, static_cast<std::uint32_t>(bytes.size()) + 16);
-      !ok(s))
-    return s;
-  return st->view.add_entry(ptype, bytes);
+  return put_property<EdgeState>(e.eid, ptype, value, /*replace=*/true);
 }
 
 Result<std::vector<PropValue>> Transaction::get_edge_properties(EdgeHandle e,
                                                                 std::uint32_t ptype) {
-  const PropertyType* def = db_->ptype(self_, ptype);
-  if (def == nullptr) return Status::kInvalidArgument;
-  auto r = edge_state(e, false);
-  if (!r.ok()) return r.status();
-  std::vector<PropValue> out;
-  for (const auto& raw : (*r)->view.get_props(ptype))
-    out.push_back(decode_value(def->dtype, raw));
-  return out;
+  return properties_on<EdgeState>(e.eid, ptype);
 }
 
 // ---------------------------------------------------------------------------
@@ -1669,15 +1263,15 @@ Result<std::vector<DPtr>> Transaction::local_index_vertices(Index& idx,
     specs.push_back(FetchSpec{cand, /*write=*/false, /*required=*/true});
   }
   std::vector<Status> per(specs.size(), Status::kOk);
-  if (Status s = fetch_vertices_batch(specs, per); !ok(s)) return s;
+  if (Status s = fetch_batch<VertexState>(specs, per); !ok(s)) return s;
   std::vector<DPtr> out;
   for (std::size_t j = 0; j < specs.size(); ++j) {
     if (!ok(per[j])) continue;  // stale entry (deleted vertex)
-    VertexState* st = vcache_.find(specs[j].vid.raw())->second.get();
+    VertexState* st = vcache_.find(specs[j].id.raw())->second.get();
     if (st->deleted) continue;
     if (!idx.matches(st->view)) continue;  // stale entry (re-labeled vertex)
     if (c != nullptr && !c->matches(st->view)) continue;
-    out.push_back(specs[j].vid);
+    out.push_back(specs[j].id);
   }
   return out;
 }
@@ -1725,7 +1319,7 @@ Status Transaction::ensure_prop_capacity(VertexState& st, std::uint32_t extra) {
   return v.reshape(tcap, v.edge_capacity(), new_prop_cap);
 }
 
-Status Transaction::ensure_edge_prop_capacity(EdgeState& st, std::uint32_t extra) {
+Status Transaction::ensure_prop_capacity(EdgeState& st, std::uint32_t extra) {
   auto& v = st.view;
   if (v.prop_capacity() - v.prop_used() >= extra + 8) return Status::kOk;
   const std::size_t B = db_->config().block.block_size;
@@ -1740,23 +1334,25 @@ Status Transaction::ensure_edge_prop_capacity(EdgeState& st, std::uint32_t extra
 // Commit / abort
 // ---------------------------------------------------------------------------
 
-Status Transaction::sync_blocks_vertex(DPtr vid, VertexState& st) {
+template <class S>
+Status Transaction::sync_blocks(DPtr id, S& st) {
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
   const auto needed = static_cast<std::uint32_t>(div_up(st.buf.size(), B));
   const std::uint32_t cur = st.view.num_blocks();
-  if (needed > st.view.table_capacity()) return Status::kOutOfMemory;
+  if (needed > S::max_blocks(st.view, B)) return Status::kOutOfMemory;
   for (std::uint32_t i = cur; i < needed; ++i) {
-    // Prefer the vertex's own rank; spill round-robin when its pool is full
+    // Prefer the holder's own rank; spill round-robin when its pool is full
     // (blocks of one holder may live on different processes, paper 5.3).
     DPtr blk;
     for (int attempt = 0; attempt < db_->nranks() && blk.is_null(); ++attempt) {
       blk = blocks.acquire(
-          self_, (vid.rank() + static_cast<std::uint32_t>(attempt)) %
+          self_, (id.rank() + static_cast<std::uint32_t>(attempt)) %
                      static_cast<std::uint32_t>(db_->nranks()));
     }
     if (blk.is_null()) return Status::kOutOfMemory;
     if (db_->config().wal) wal_rec_.acquire(blk);
+    // A recycled block may still be cached under its previous owner.
     blk_cache_.erase(blk.raw());
     scache_invalidate(blk);
     st.view.set_block_addr(i, blk);
@@ -1767,33 +1363,11 @@ Status Transaction::sync_blocks_vertex(DPtr vid, VertexState& st) {
   return Status::kOk;
 }
 
-Status Transaction::sync_blocks_edge(DPtr eid, EdgeState& st) {
-  auto& blocks = db_->blocks();
-  const std::size_t B = blocks.block_size();
-  const auto needed = static_cast<std::uint32_t>(div_up(st.buf.size(), B));
-  const std::uint32_t cur = st.view.num_blocks();
-  if (needed > layout::EdgeView::kMaxBlocks) return Status::kOutOfMemory;
-  for (std::uint32_t i = cur; i < needed; ++i) {
-    DPtr blk;
-    for (int attempt = 0; attempt < db_->nranks() && blk.is_null(); ++attempt) {
-      blk = blocks.acquire(
-          self_, (eid.rank() + static_cast<std::uint32_t>(attempt)) %
-                     static_cast<std::uint32_t>(db_->nranks()));
-    }
-    if (blk.is_null()) return Status::kOutOfMemory;
-    if (db_->config().wal) wal_rec_.acquire(blk);
-    st.view.set_block_addr(i, blk);
-  }
-  for (std::uint32_t i = needed; i < cur; ++i)
-    shrink_release_.push_back(st.view.block_addr(i));  // recycled in phase 5
-  if (needed != cur) st.view.set_num_blocks(needed);
-  return Status::kOk;
-}
-
-Status Transaction::writeback_vertex(DPtr vid, VertexState& st) {
+template <class S>
+void Transaction::writeback(DPtr id, S& st) {
   // The window bytes change now: no shared snapshot of this holder survives
   // (remote copies die via the version bump at write_unlock).
-  scache_invalidate(vid);
+  scache_invalidate(id);
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
   const std::size_t total = st.buf.size();
@@ -1823,8 +1397,8 @@ Status Transaction::writeback_vertex(DPtr vid, VertexState& st) {
   bool wrote = false;
   for (const auto& [b0, b1] : spans) {
     for (std::size_t b = b0; b < b1 && b < st.view.num_blocks(); ++b) {
-      const DPtr blk = b == 0 ? vid : st.view.block_addr(b);
-      if (blk.rank() != vid.rank()) wb_cross_rank_ = true;  // spilled block
+      const DPtr blk = b == 0 ? id : st.view.block_addr(b);
+      if (blk.rank() != id.rank()) wb_cross_rank_ = true;  // spilled block
       const std::size_t off = b * B;
       const std::size_t n = std::min(B, total - off);
       if (db_->config().wal)
@@ -1834,34 +1408,8 @@ Status Transaction::writeback_vertex(DPtr vid, VertexState& st) {
       wrote = true;
     }
   }
-  if (wrote && !batching_enabled()) blocks.flush(self_, vid.rank());
+  if (wrote && !batching_enabled()) blocks.flush(self_, id.rank());
   st.view.reset_dirty();
-  return Status::kOk;
-}
-
-Status Transaction::writeback_edge(DPtr eid, EdgeState& st) {
-  scache_invalidate(eid);
-  auto& blocks = db_->blocks();
-  const std::size_t B = blocks.block_size();
-  const std::size_t total = st.buf.size();
-  std::size_t lo = st.created ? 0 : st.view.dirty_lo();
-  std::size_t hi = st.created ? total : std::min(st.view.dirty_hi(), total);
-  if (lo >= hi) return Status::kOk;
-  const std::size_t b0 = lo / B;
-  const std::size_t b1 = div_up(hi, B);
-  for (std::size_t b = b0; b < b1 && b < st.view.num_blocks(); ++b) {
-    const DPtr blk = b == 0 ? eid : st.view.block_addr(b);
-    if (blk.rank() != eid.rank()) wb_cross_rank_ = true;  // spilled block
-    const std::size_t off = b * B;
-    const std::size_t n = std::min(B, total - off);
-    if (db_->config().wal)
-      wal_rec_.image(blk, 0, std::span<const std::byte>(st.buf.data() + off, n));
-    if (batching_enabled()) blocks.write_nb(self_, blk, 0, st.buf.data() + off, n);
-    else blocks.write(self_, blk, 0, st.buf.data() + off, n);
-  }
-  if (!batching_enabled()) blocks.flush(self_, eid.rank());
-  st.view.reset_dirty();
-  return Status::kOk;
 }
 
 void Transaction::release_locks(bool write_through) {
@@ -1884,34 +1432,19 @@ void Transaction::release_locks(bool write_through) {
   const bool wt = write_through && db_->config().scache_write_through &&
                   scache() != nullptr;
   auto& blocks = db_->blocks();
-  for (auto& [raw, st] : vcache_) {
-    const DPtr vid{raw};
-    if (st->lock == LockState::kWrite) {
-      if (wt && !st->deleted) {
-        const std::uint64_t v = blocks.write_unlock_fetch(self_, vid, nb);
-        scache_restamp(vid, st->buf, v, /*is_edge=*/false);
+  for_each_holder([&](DPtr id, auto& st) {
+    if (st.lock == LockState::kWrite) {
+      if (wt && !st.deleted) {
+        const std::uint64_t v = blocks.write_unlock_fetch(self_, id, nb);
+        scache_restamp(id, st.buf, v, std::remove_reference_t<decltype(st)>::kIsEdge);
       } else {
-        nb ? blocks.write_unlock_nb(self_, vid) : blocks.write_unlock(self_, vid);
+        nb ? blocks.write_unlock_nb(self_, id) : blocks.write_unlock(self_, id);
       }
     }
-    if (st->lock == LockState::kRead)
-      nb ? blocks.read_unlock_nb(self_, vid) : blocks.read_unlock(self_, vid);
-    st->lock = LockState::kNone;
-  }
-  for (auto& [raw, st] : ecache_) {
-    const DPtr eid{raw};
-    if (st->lock == LockState::kWrite) {
-      if (wt && !st->deleted) {
-        const std::uint64_t v = blocks.write_unlock_fetch(self_, eid, nb);
-        scache_restamp(eid, st->buf, v, /*is_edge=*/true);
-      } else {
-        nb ? blocks.write_unlock_nb(self_, eid) : blocks.write_unlock(self_, eid);
-      }
-    }
-    if (st->lock == LockState::kRead)
-      nb ? blocks.read_unlock_nb(self_, eid) : blocks.read_unlock(self_, eid);
-    st->lock = LockState::kNone;
-  }
+    if (st.lock == LockState::kRead)
+      nb ? blocks.read_unlock_nb(self_, id) : blocks.read_unlock(self_, id);
+    st.lock = LockState::kNone;
+  });
 }
 
 Status Transaction::commit_local() {
@@ -1919,81 +1452,47 @@ Status Transaction::commit_local() {
   const std::uint64_t wb_bytes_before = self_.counters().bytes_put;
 
   // Phase 1: make physical block allocation match every buffered holder.
-  for (auto& [raw, st] : vcache_) {
-    if (st->deleted) continue;
-    if (st->lock != LockState::kWrite && !st->created) continue;
-    if (!st->created && !st->view.is_dirty()) continue;
-    if (Status s = sync_blocks_vertex(DPtr{raw}, *st); !ok(s)) {
-      failed_ = true;
-      abort();
-      return s;
-    }
-  }
-  for (auto& [raw, st] : ecache_) {
-    if (st->deleted) continue;
-    if (st->lock != LockState::kWrite && !st->created) continue;
-    if (!st->created && !st->view.is_dirty()) continue;
-    if (Status s = sync_blocks_edge(DPtr{raw}, *st); !ok(s)) {
-      failed_ = true;
-      abort();
-      return s;
-    }
+  Status synced = Status::kOk;
+  for_each_holder([&](DPtr id, auto& st) {
+    if (!ok(synced) || st.deleted) return;
+    if (st.lock != LockState::kWrite && !st.created) return;
+    if (!st.created && !st.view.is_dirty()) return;
+    synced = sync_blocks(id, st);
+  });
+  if (!ok(synced)) {
+    failed_ = true;
+    abort();
+    return synced;
   }
 
   // Phase 2: write back dirty blocks ("all dirty blocks or none", paper 5.6).
-  for (auto& [raw, st] : vcache_) {
-    if (st->deleted) continue;
-    if (st->created || st->view.is_dirty()) (void)writeback_vertex(DPtr{raw}, *st);
-  }
-  for (auto& [raw, st] : ecache_) {
-    if (st->deleted) continue;
-    if (st->created || st->view.is_dirty()) (void)writeback_edge(DPtr{raw}, *st);
-  }
+  for_each_holder([&](DPtr id, auto& st) {
+    if (!st.deleted && (st.created || st.view.is_dirty())) writeback(id, st);
+  });
 
-  // Phase 3: deleted holders -- publish the invalid header so racing readers
-  // observe deletion, then remember the blocks for post-unlock release.
+  // Phase 3: deleted holders -- publish the tombstone (a vertex's invalid
+  // primary block, an edge's cleared valid flag) so racing readers observe
+  // deletion, then remember the blocks for post-unlock release.
   std::vector<DPtr> to_release;
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
-  for (auto& [raw, st] : vcache_) {
-    if (!st->deleted) continue;
-    const DPtr vid{raw};
-    scache_invalidate(vid);
-    if (!st->created) {
-      if (db_->config().wal)
-        wal_rec_.image(vid, 0, std::span<const std::byte>(st->buf.data(),
-                                                          std::min(B, st->buf.size())));
+  for_each_holder([&](DPtr id, auto& st) {
+    if (!st.deleted) return;
+    scache_invalidate(id);
+    if (!st.created) {
+      const auto [off, n] = std::remove_reference_t<decltype(st)>::tombstone(B, st.buf.size());
+      const std::byte* src = st.buf.data() + off;
+      if (db_->config().wal) wal_rec_.image(id, off, std::span<const std::byte>(src, n));
       if (batching_enabled()) {
-        blocks.write_nb(self_, vid, 0, st->buf.data(),
-                        std::min(B, st->buf.size()));  // header now invalid
+        blocks.write_nb(self_, id, off, src, n);
       } else {
-        blocks.write(self_, vid, 0, st->buf.data(), std::min(B, st->buf.size()));
-        blocks.flush(self_, vid.rank());
+        blocks.write(self_, id, off, src, n);
+        blocks.flush(self_, id.rank());
       }
     }
-    for (std::uint32_t i = 0; i < st->view.num_blocks(); ++i)
-      to_release.push_back(i == 0 ? vid : st->view.block_addr(i));
-  }
-  for (auto& [raw, st] : ecache_) {
-    if (!st->deleted) continue;
-    const DPtr eid{raw};
-    scache_invalidate(eid);
-    if (!st->created) {
-      std::uint32_t zero = 0;
-      if (db_->config().wal)
-        wal_rec_.image(eid, 16,
-                       std::span<const std::byte>(
-                           reinterpret_cast<const std::byte*>(&zero), 4));
-      if (batching_enabled()) {
-        blocks.write_nb(self_, eid, 16, &zero, 4);  // clear the valid flag
-      } else {
-        blocks.write(self_, eid, 16, &zero, 4);
-        blocks.flush(self_, eid.rank());
-      }
-    }
-    for (std::uint32_t i = 0; i < st->view.num_blocks(); ++i)
-      to_release.push_back(i == 0 ? eid : st->view.block_addr(i));
-  }
+    for (std::uint32_t i = 0; i < st.view.num_blocks(); ++i)
+      to_release.push_back(i == 0 ? id : st.view.block_addr(i));
+  });
   // Writeback completion. The pre-pipeline contract: every dirty-block and
   // deletion PUT issued above (phases 2-3) completes here with a single
   // overlapped flush before anything publishes and before locks release.
@@ -2103,10 +1602,9 @@ Status Transaction::commit_local() {
   wal::WalWriter* walw = db_->wal(self_);
   bool wal_appended = false;
   if (walw != nullptr && !wal_rec_.empty()) {
-    for (auto& [raw, st] : vcache_)
-      if (st->lock == LockState::kWrite) wal_rec_.lock_bump(DPtr{raw});
-    for (auto& [raw, st] : ecache_)
-      if (st->lock == LockState::kWrite) wal_rec_.lock_bump(DPtr{raw});
+    for_each_holder([&](DPtr id, auto& st) {
+      if (st.lock == LockState::kWrite) wal_rec_.lock_bump(id);
+    });
     for (DPtr blk : to_release) wal_rec_.release(blk);
     for (DPtr blk : shrink_release_) wal_rec_.release(blk);
     // Networked tenants: the acknowledgement the client will receive rides
@@ -2187,18 +1685,11 @@ void Transaction::abort() {
   release_locks(/*write_through=*/false);
   auto& blocks = db_->blocks();
   // Created holders never became visible; return their blocks.
-  for (auto& [raw, st] : vcache_) {
-    if (!st->created) continue;
-    const DPtr vid{raw};
-    for (std::uint32_t i = 0; i < st->view.num_blocks(); ++i)
-      blocks.release(self_, i == 0 ? vid : st->view.block_addr(i));
-  }
-  for (auto& [raw, st] : ecache_) {
-    if (!st->created) continue;
-    const DPtr eid{raw};
-    for (std::uint32_t i = 0; i < st->view.num_blocks(); ++i)
-      blocks.release(self_, i == 0 ? eid : st->view.block_addr(i));
-  }
+  for_each_holder([&](DPtr id, auto& st) {
+    if (!st.created) return;
+    for (std::uint32_t i = 0; i < st.view.num_blocks(); ++i)
+      blocks.release(self_, i == 0 ? id : st.view.block_addr(i));
+  });
   // Shrink-shed blocks are NOT released: their writeback never ran, so the
   // window holders still reference them (releasing would hand live blocks
   // to the allocator -- the pre-pipeline code had exactly that bug).
@@ -2213,5 +1704,13 @@ void Transaction::abort() {
   blk_cache_.clear();
   active_ = false;
 }
+
+// BatchScope::execute drives the pipeline for both holder kinds.
+template Status Transaction::fetch_batch<Transaction::VertexState>(std::span<const FetchSpec>,
+                                                                   std::span<Status>);
+template Status Transaction::fetch_batch<Transaction::EdgeState>(std::span<const FetchSpec>,
+                                                                 std::span<Status>);
+template void Transaction::populate_block_cache<Transaction::VertexState>(
+    std::span<const DPtr>, std::unordered_set<std::uint64_t>*);
 
 }  // namespace gdi

@@ -25,12 +25,14 @@
 //                    vertex upgrades to (or directly takes) the write lock.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/dptr.hpp"
@@ -232,9 +234,37 @@ class Transaction {
 
   enum class LockState : std::uint8_t { kNone = 0, kRead, kWrite };
 
+  // --- holder kinds -----------------------------------------------------------
+  //
+  // Vertices and heavy edges share one holder layout (paper 5.3-5.4): a
+  // primary block that carries the lock word and the block-address table,
+  // plus continuation blocks. Locking, fetching, caching and writeback are
+  // one protocol, written once as templates over the state type; each state
+  // type states at compile time the few facts in which the kinds differ.
   struct VertexState {
+    using View = layout::VertexView;
+    static constexpr bool kIsEdge = false;  ///< shared-cache entry tag
+    static constexpr EntityType kEntity = EntityType::kVertex;
+    /// Holder bytes the header accounts for.
+    [[nodiscard]] static std::size_t required_size(const View& v) {
+      return View::required_size(v.table_capacity(), v.edge_capacity(), v.prop_capacity());
+    }
+    /// Most blocks the primary block can address: the table's capacity,
+    /// clamped to what fits in one block (a stale DPtr may point at a reused
+    /// block whose header bytes are arbitrary).
+    [[nodiscard]] static std::size_t max_blocks(const View& v, std::size_t block_size) {
+      return std::min<std::size_t>(v.table_capacity(),
+                                   (block_size - View::kBlockTableOff) / 8);
+    }
+    /// Bytes published at commit to retire a deleted holder: the whole
+    /// (now invalid) primary block.
+    [[nodiscard]] static std::pair<std::size_t, std::size_t> tombstone(
+        std::size_t block_size, std::size_t buf_size) {
+      return {0, std::min(block_size, buf_size)};
+    }
+
     std::vector<std::byte> buf;
-    layout::VertexView view{buf};
+    View view{buf};
     LockState lock = LockState::kNone;
     bool created = false;
     bool deleted = false;
@@ -242,54 +272,90 @@ class Transaction {
   };
 
   struct EdgeState {
+    using View = layout::EdgeView;
+    static constexpr bool kIsEdge = true;
+    static constexpr EntityType kEntity = EntityType::kEdge;
+    [[nodiscard]] static std::size_t required_size(const View& v) {
+      return View::required_size(v.prop_capacity());
+    }
+    /// The edge block table is fixed-size.
+    [[nodiscard]] static std::size_t max_blocks(const View&, std::size_t) {
+      return View::kMaxBlocks;
+    }
+    /// Only the 4-byte valid flag at header offset 16.
+    [[nodiscard]] static std::pair<std::size_t, std::size_t> tombstone(std::size_t,
+                                                                       std::size_t) {
+      return {16, 4};
+    }
+
     std::vector<std::byte> buf;
-    layout::EdgeView view{buf};
+    View view{buf};
     LockState lock = LockState::kNone;  ///< lock on the *edge holder* block
     bool created = false;
     bool deleted = false;
   };
 
-  // Access paths.
-  Result<VertexState*> vertex_state(VertexHandle v, bool for_write);
-  Result<EdgeState*> edge_state(EdgeHandle e, bool for_write);
-  Status acquire_vertex_lock(VertexState& st, DPtr vid, bool write);
-  Status fetch_vertex(DPtr vid, VertexState& st);
-  Status fetch_edge(DPtr eid, EdgeState& st);
+  template <class S>
+  using HolderMap = std::unordered_map<std::uint64_t, std::unique_ptr<S>>;
+  /// The per-transaction states of one holder kind (vcache_ / ecache_).
+  template <class S>
+  HolderMap<S>& holders() {
+    if constexpr (S::kIsEdge) return ecache_;
+    else return vcache_;
+  }
+  /// Deletion is buffered like any write; commit publishes the tombstone
+  /// range of the invalidated buffer.
+  template <class S>
+  static void mark_deleted(S& st) {
+    st.view.set_valid(false);
+    st.deleted = true;
+  }
+  /// f(DPtr, state&) over every buffered holder: vertices first, then edges.
+  template <class F>
+  void for_each_holder(F&& f) {
+    for (auto& [raw, st] : vcache_) f(DPtr{raw}, *st);
+    for (auto& [raw, st] : ecache_) f(DPtr{raw}, *st);
+  }
 
-  // --- the single lock/fetch path (tentpole) --------------------------------
+  // Access path: the holder's state, fetched (and locked) on first touch.
+  // for_write takes or upgrades the write lock and drops the holder's cached
+  // blocks, which are about to diverge from the buffer.
+  template <class S>
+  Result<S*> state(DPtr id, bool for_write);
+  Result<VertexState*> state(VertexHandle v, bool for_write) {
+    return state<VertexState>(v.vid, for_write);
+  }
+  Result<EdgeState*> state(EdgeHandle e, bool for_write) {
+    return state<EdgeState>(e.eid, for_write);
+  }
+  /// Read one holder (primary, then its continuation blocks) into `st`.
+  template <class S>
+  Status fetch_holder(DPtr id, S& st);
+  /// Record which db indexes the vertex matches (commit-time index deltas).
+  void snapshot_index_match(VertexState& st);
+
+  // --- the single lock/fetch path -------------------------------------------
   //
-  // Every vertex materialization in the system -- blocking associate/find,
-  // BatchScope::execute, kRead prefetch hints, index scans -- funnels through
-  // fetch_vertices_batch. It acquires all still-needed locks with overlapped
-  // CAS rounds, pulls every primary block in one nonblocking batch and every
-  // continuation block in a second, and installs the resulting VertexStates
-  // in vcache_. A one-element call degenerates to the blocking path (no extra
-  // flush), so single-op wrappers cost what they did before batching existed.
+  // Every holder materialization in the system -- blocking associate/find and
+  // edge access, BatchScope::execute (vertex ops, then the heavy holders of
+  // edge ops and constraint-filtered edges_of), kRead prefetch hints, index
+  // scans -- funnels through fetch_batch. It acquires all still-needed locks
+  // with overlapped CAS rounds, pulls every primary block in one nonblocking
+  // batch and every continuation block in a second, and installs the
+  // resulting states in vcache_ / ecache_. A one-element call degenerates to
+  // the blocking path (no extra flush), so single-op wrappers cost what they
+  // did before batching existed.
   struct FetchSpec {
-    DPtr vid;
+    DPtr id;
     bool write = false;    ///< take/upgrade to the write lock
     bool required = false; ///< lock failure dooms the txn (false for hints)
   };
-  /// per[i] receives specs[i]'s outcome (kOk = state available in vcache_;
-  /// kNotFound / kTxnConflict / ... otherwise). Returns kOk unless a
-  /// *required* spec hit a transaction-critical failure, in which case the
-  /// transaction is doomed and that status is returned.
-  Status fetch_vertices_batch(std::span<const FetchSpec> specs, std::span<Status> per);
-
-  // --- the edge twin of the single lock/fetch path --------------------------
-  //
-  // Every heavy-edge materialization -- blocking associate_edge/edge property
-  // access, BatchScope edge ops, the heavy holders behind constraint-filtered
-  // edges_of -- funnels through fetch_edges_batch: overlapped lock CAS rounds
-  // for the whole set, one nonblocking batch of primary blocks plus one of
-  // continuation blocks, EdgeStates installed in ecache_. A one-element call
-  // degenerates to the blocking path, so single-op wrappers keep their cost.
-  struct EdgeFetchSpec {
-    DPtr eid;
-    bool write = false;
-    bool required = false;
-  };
-  Status fetch_edges_batch(std::span<const EdgeFetchSpec> specs, std::span<Status> per);
+  /// per[i] receives specs[i]'s outcome (kOk = state available in the
+  /// holder map; kNotFound / kTxnConflict / ... otherwise). Returns kOk
+  /// unless a *required* spec hit a transaction-critical failure, in which
+  /// case the transaction is doomed and that status is returned.
+  template <class S>
+  Status fetch_batch(std::span<const FetchSpec> specs, std::span<Status> per);
 
   // Internal (non-wrapper) implementations used by BatchScope resolution and
   // by the blocking wrappers; bodies predate the async surface.
@@ -300,7 +366,7 @@ class Transaction {
   Result<VertexHandle> create_vertex_impl(std::uint64_t app_id, bool dht_checked);
   Result<std::vector<EdgeDesc>> edges_of_impl(VertexHandle v, DirFilter f,
                                               const Constraint* c);
-  /// Batch-populate the block cache with the holders of `vids` (primaries in
+  /// Batch-populate the block cache with the holders of `ids` (primaries in
   /// one overlapped batch, continuations in a second). Callers must hold the
   /// needed locks (or run lock-free in kReadShared). No-op unless both the
   /// cache and batching are enabled. When `tainted` is non-null it receives
@@ -308,11 +374,9 @@ class Transaction {
   /// the per-transaction cache -- bytes that predate the caller's seqlock
   /// bracket and therefore disqualify the holder from a lock-free
   /// shared-cache fill.
-  void populate_block_cache(std::span<const DPtr> vids,
+  template <class S>
+  void populate_block_cache(std::span<const DPtr> ids,
                             std::unordered_set<std::uint64_t>* tainted = nullptr);
-  /// Same two-round population for heavy-edge holders (EdgeView headers).
-  void populate_edge_block_cache(std::span<const DPtr> eids,
-                                 std::unordered_set<std::uint64_t>* tainted = nullptr);
   /// Serve an app-ID peek from vcache_/blk_cache_; false = caller must read.
   [[nodiscard]] bool peek_cached(DPtr vid, std::uint64_t* out);
 
@@ -359,15 +423,30 @@ class Transaction {
   [[nodiscard]] const cache::SharedBlockCache::Entry* scache_lookup(
       DPtr primary, std::uint64_t observed_word, bool want_edge);
 
+  // Label and property bodies shared by the vertex and heavy-edge API.
+  template <class S>
+  Status add_label_to(DPtr id, std::uint32_t label_id);
+  template <class S>
+  Status remove_label_from(DPtr id, std::uint32_t label_id);
+  template <class S>
+  Result<std::vector<std::uint32_t>> labels_on(DPtr id);
+  /// add_* (replace = false) and update_* (replace = true): both check the
+  /// property type's entity type and size class before touching the holder,
+  /// and an update that cannot get room leaves the old entries in place.
+  template <class S>
+  Status put_property(DPtr id, std::uint32_t ptype, const PropValue& value, bool replace);
+  template <class S>
+  Result<std::vector<PropValue>> properties_on(DPtr id, std::uint32_t ptype);
+
   // Capacity management.
   Status ensure_edge_capacity(VertexState& st, std::uint32_t extra_slots);
   Status ensure_prop_capacity(VertexState& st, std::uint32_t extra_bytes);
-  Status ensure_edge_prop_capacity(EdgeState& st, std::uint32_t extra_bytes);
+  Status ensure_prop_capacity(EdgeState& st, std::uint32_t extra_bytes);
 
   // Commit helpers.
   Status commit_local();
-  Status writeback_vertex(DPtr vid, VertexState& st);
-  Status writeback_edge(DPtr eid, EdgeState& st);
+  template <class S>
+  void writeback(DPtr id, S& st);
   /// Release every held lock. With `write_through`, write unlocks go through
   /// BlockStore::write_unlock_fetch and the committed holder bytes are
   /// re-stamped into the shared cache under the fetched post-unlock version
@@ -375,10 +454,10 @@ class Transaction {
   /// abort always passes false -- an aborted buffer diverged from the window
   /// bytes and must not be stamped.
   void release_locks(bool write_through);
-  void release_holder_blocks(const std::vector<DPtr>& blocks);
   [[nodiscard]] std::uint32_t max_table_cap() const;
-  Status sync_blocks_vertex(DPtr vid, VertexState& st);   // alloc/free to match size
-  Status sync_blocks_edge(DPtr eid, EdgeState& st);
+  /// Acquire / shed blocks so the holder's block count matches its size.
+  template <class S>
+  Status sync_blocks(DPtr id, S& st);
 
   Status fail(Status s) {
     if (is_transaction_critical(s)) failed_ = true;
@@ -396,7 +475,7 @@ class Transaction {
   /// holder's lock word: such a commit must flush before unlocking (the
   /// group-commit pipeline's same-destination ordering argument fails).
   bool wb_cross_rank_ = false;
-  /// Blocks shed by holder shrinks (sync_blocks_*): recycled in commit phase
+  /// Blocks shed by holder shrinks (sync_blocks): recycled in commit phase
   /// 5 with the deletion releases -- after the writeback fence (a freed
   /// block's next owner may rewrite it, so no PUT to it may remain in
   /// flight, ours or an open epoch's) and after the shrunk header is

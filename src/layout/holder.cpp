@@ -416,6 +416,14 @@ std::vector<std::vector<std::byte>> EdgeView::get_props(std::uint32_t ptype) con
   return out;
 }
 
+int EdgeView::count_props(std::uint32_t ptype) const {
+  int n = 0;
+  for_each_entry([&](std::uint32_t id, std::span<const std::byte>) {
+    if (id == ptype) ++n;
+  });
+  return n;
+}
+
 std::vector<std::uint32_t> EdgeView::ptypes() const {
   std::vector<std::uint32_t> out;
   for_each_entry([&](std::uint32_t id, std::span<const std::byte>) {

@@ -52,9 +52,17 @@ struct EdgeRecord {
   bool in_use = false;
 };
 
+/// A half-open byte range [lo, hi) of a holder buffer written since the last
+/// reset_dirty(); empty when hi <= lo.
+struct DirtyRange {
+  std::size_t lo = static_cast<std::size_t>(-1);
+  std::size_t hi = 0;
+  [[nodiscard]] bool empty() const { return hi <= lo; }
+};
+
 /// Codec over a vertex holder's flat buffer. The view does not own the
-/// buffer; the transaction layer owns it and tracks the dirty range the view
-/// reports via dirty_lo()/dirty_hi().
+/// buffer; the transaction layer owns it and writes back the dirty ranges
+/// the view reports via dirty_ranges().
 class VertexView {
  public:
   static constexpr std::size_t kHeaderSize = 48;
@@ -175,11 +183,6 @@ class VertexView {
   // would force commit to rewrite every block in between. Two ranges keep
   // the paper's "track dirty blocks" guarantee for the common access shapes
   // (O(1) bookkeeping, write-back touches only genuinely dirty blocks).
-  struct DirtyRange {
-    std::size_t lo = static_cast<std::size_t>(-1);
-    std::size_t hi = 0;
-    [[nodiscard]] bool empty() const { return hi <= lo; }
-  };
   [[nodiscard]] std::array<DirtyRange, 2> dirty_ranges() const { return dirty_; }
   [[nodiscard]] std::size_t dirty_lo() const {
     return std::min(dirty_[0].lo, dirty_[1].lo);
@@ -298,17 +301,16 @@ class EdgeView {
   bool remove_label(std::uint32_t label_id);
   [[nodiscard]] std::vector<std::uint32_t> labels() const;
   [[nodiscard]] std::vector<std::vector<std::byte>> get_props(std::uint32_t ptype) const;
+  [[nodiscard]] int count_props(std::uint32_t ptype) const;
   [[nodiscard]] std::vector<std::uint32_t> ptypes() const;
 
   [[nodiscard]] Status reshape(std::uint32_t new_prop_cap);
 
-  [[nodiscard]] std::size_t dirty_lo() const { return dirty_lo_; }
-  [[nodiscard]] std::size_t dirty_hi() const { return dirty_hi_; }
-  [[nodiscard]] bool is_dirty() const { return dirty_hi_ > dirty_lo_; }
-  void reset_dirty() {
-    dirty_lo_ = static_cast<std::size_t>(-1);
-    dirty_hi_ = 0;
-  }
+  /// One coalescing range (an edge holder has no far-apart regions); the
+  /// second range is always empty, so writeback treats both views alike.
+  [[nodiscard]] std::array<DirtyRange, 2> dirty_ranges() const { return {dirty_, {}}; }
+  [[nodiscard]] bool is_dirty() const { return !dirty_.empty(); }
+  void reset_dirty() { dirty_ = {}; }
   void mark_all_dirty() { mark(0, buf_.size()); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
@@ -332,13 +334,12 @@ class EdgeView {
     mark(off, off + 4);
   }
   void mark(std::size_t lo, std::size_t hi) {
-    if (lo < dirty_lo_) dirty_lo_ = lo;
-    if (hi > dirty_hi_) dirty_hi_ = hi;
+    dirty_.lo = std::min(dirty_.lo, lo);
+    dirty_.hi = std::max(dirty_.hi, hi);
   }
 
   std::vector<std::byte>& buf_;
-  std::size_t dirty_lo_ = static_cast<std::size_t>(-1);
-  std::size_t dirty_hi_ = 0;
+  DirtyRange dirty_{};
 };
 
 }  // namespace gdi::layout

@@ -94,8 +94,9 @@ struct OpCounters {
   std::uint64_t scache_validations = 0;
   std::uint64_t scache_invalidations = 0;
 
-  // Batched heavy-edge fetch: completed multi-holder fetch_edges_batch calls
-  // and the holders they covered (items/batches = mean edge batch size).
+  // Batched heavy-edge fetch: completed multi-holder Transaction::fetch_batch
+  // calls over edge holders and the holders they covered (items/batches =
+  // mean edge batch size).
   std::uint64_t edge_batches = 0;
   std::uint64_t edge_batch_items = 0;
 

@@ -285,15 +285,13 @@ void TenantScheduler::exec_write(const std::shared_ptr<Database>& db,
             txn.abort();
             break;
           }
-          Status ps = Status::kOk;
-          const std::int64_t cur = prop_int(txn, *vh, r.ptype, &ps);
-          if (is_transaction_critical(ps)) {
-            outcome = ps;
-            txn.abort();
-            break;
-          }
-          const Status s = txn.update_property(*vh, r.ptype, PropValue{cur + 1});
-          if (is_transaction_critical(s)) {
+          // Any failure -- critical or not -- aborts and is the reply: a
+          // failed read has no value to increment, and committing after a
+          // failed update would acknowledge a write that did not happen.
+          Status s = Status::kOk;
+          const std::int64_t cur = prop_int(txn, *vh, r.ptype, &s);
+          if (ok(s)) s = txn.update_property(*vh, r.ptype, PropValue{cur + 1});
+          if (!ok(s)) {
             outcome = s;
             txn.abort();
             break;
@@ -313,12 +311,10 @@ void TenantScheduler::exec_write(const std::shared_ptr<Database>& db,
             txn.abort();
             break;
           }
+          // Both writes or neither: any failure aborts and is the reply.
           Status s = txn.update_property(*va, r.ptype, PropValue{r.value});
-          if (!is_transaction_critical(s)) {
-            const Status s2 = txn.update_property(*vb, r.ptype, PropValue{r.value});
-            if (is_transaction_critical(s2)) s = s2;
-          }
-          if (is_transaction_critical(s)) {
+          if (ok(s)) s = txn.update_property(*vb, r.ptype, PropValue{r.value});
+          if (!ok(s)) {
             outcome = s;
             txn.abort();
             break;

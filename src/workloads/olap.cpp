@@ -226,7 +226,7 @@ ShardResult<std::uint64_t> k_hop(const std::shared_ptr<Database>& db, rma::Rank&
     std::vector<Future<std::vector<EdgeDesc>>> edge_futs;
     edge_futs.reserve(frontier.size());
     // The constraint rides into the batch: every heavy-edge holder the
-    // filter needs resolves through one fetch_edges_batch inside execute().
+    // filter needs resolves through one batched holder fetch inside execute().
     for (DPtr v : frontier) edge_futs.push_back(scope.edges_of(v, DirFilter::kAll, c));
     (void)scope.execute();
     for (const auto& edges : edge_futs) {

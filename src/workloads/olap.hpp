@@ -37,7 +37,7 @@ ShardResult<std::uint64_t> bfs(const std::shared_ptr<Database>& db, rma::Rank& s
 
 /// Vertices within k hops of root (count), collective. An optional edge
 /// constraint restricts the traversal (lightweight labels match inline;
-/// heavy-edge holders resolve through the batched fetch_edges_batch path).
+/// heavy-edge holders resolve through the batched holder fetch path).
 ShardResult<std::uint64_t> k_hop(const std::shared_ptr<Database>& db, rma::Rank& self,
                                  std::uint64_t n, std::uint64_t root, int k,
                                  const Constraint* c = nullptr);

@@ -80,6 +80,11 @@ TEST(ApiExtras, FixedAndLimitedSizeProperties) {
     EXPECT_EQ(w.add_property(v, pl, PropValue{std::string("abc")}), Status::kOk);
     EXPECT_EQ(w.add_property(v, pl, PropValue{std::string("abcde")}),
               Status::kConstraintViolated);
+    EXPECT_EQ(w.update_property(v, pf, PropValue{std::vector<std::byte>(7)}),
+              Status::kConstraintViolated);
+    EXPECT_EQ(w.update_property(v, pl, PropValue{std::string("abcdefgh")}),
+              Status::kConstraintViolated);
+    EXPECT_EQ(w.update_property(v, pl, PropValue{std::string("wxyz")}), Status::kOk);
     EXPECT_EQ(w.commit(), Status::kOk);
   });
 }

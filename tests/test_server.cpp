@@ -465,6 +465,41 @@ TEST(ServerParity, CoalescedRunMatchesEagerStateWithFewerFences) {
   });
 }
 
+// A write whose property access fails without dooming the transaction (here:
+// an unregistered property type) aborts and replies the failing status; it
+// never commits and never replies kOk.
+TEST(ServerWrites, NonCriticalFailureAbortsAndRepliesIt) {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, server_cfg());
+    const std::uint32_t pt = load_vertices(db, self, 4, 5);
+    const std::uint32_t unregistered = pt + 100;
+    const auto got = run_via_scheduler(
+        db, self,
+        {make_req(OpKind::kIncrement, 1, unregistered, 0, 0, 0),
+         make_req(OpKind::kWritePair, 1, unregistered, 9, 2, 1),
+         make_req(OpKind::kIncrement, 3, pt, 0, 0, 2)});
+    EXPECT_EQ(got.size(), 3u);
+    if (got.size() == 3) {
+      EXPECT_EQ(got[0].status, Status::kInvalidArgument);
+      EXPECT_EQ(got[0].v0, 0);
+      EXPECT_EQ(got[1].status, Status::kInvalidArgument);
+      EXPECT_EQ(got[2].status, Status::kOk);
+      EXPECT_EQ(got[2].v0, 6);
+    }
+    Transaction r(db, self, TxnMode::kRead);
+    for (std::uint64_t id : {1u, 2u}) {
+      auto v = r.find_vertex(id);
+      EXPECT_TRUE(v.ok());
+      if (!v.ok()) continue;
+      EXPECT_EQ(*r.ptypes_of(*v), std::vector<std::uint32_t>{pt}) << id;
+      EXPECT_EQ(*r.get_properties(*v, pt), std::vector<PropValue>{PropValue{std::int64_t{5}}})
+          << id;
+    }
+    EXPECT_EQ(r.commit(), Status::kOk);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Workload driver smoke (multi-rank)
 // ---------------------------------------------------------------------------

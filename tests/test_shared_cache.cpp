@@ -1,5 +1,5 @@
 // Tests for the shared version-validated block cache (src/cache/) and the
-// batched heavy-edge fetch path (Transaction::fetch_edges_batch).
+// batched heavy-edge fetch path (Transaction::fetch_batch over edge holders).
 //
 // Invariants pinned here:
 //  * zero stale reads: a concurrent writer's commit bumps the lock-word

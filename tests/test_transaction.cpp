@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <type_traits>
 
 #include "gdi/gdi.hpp"
 
@@ -694,6 +695,347 @@ TEST(Txn, VolatileHandleInvalidAfterClose) {
     EXPECT_EQ(r.labels_of(v).status(), Status::kTxnAborted)
         << "ops after close must fail";
   });
+}
+
+// ---------------------------------------------------------------------------
+// Vertex / heavy-edge holder parity
+// ---------------------------------------------------------------------------
+//
+// Vertices and heavy edges share one holder layout and one lock/fetch/
+// writeback protocol. Each kind below adapts the shared operations of its
+// API so that one script drives both and checks every step of each.
+
+struct VertexKind {
+  using Handle = VertexHandle;
+  static void setup(Transaction&) {}
+  static Result<Handle> create(Transaction& t, std::uint64_t n) {
+    return t.create_vertex(10 + n);
+  }
+  static Result<Handle> open(Transaction& t, DPtr id) { return t.associate_vertex(id); }
+  static DPtr id(Handle h) { return h.vid; }
+  static Status add_label(Transaction& t, Handle h, std::uint32_t l) {
+    return t.add_label(h, l);
+  }
+  static Status remove_label(Transaction& t, Handle h, std::uint32_t l) {
+    return t.remove_label(h, l);
+  }
+  static Result<std::vector<std::uint32_t>> labels(Transaction& t, Handle h) {
+    return t.labels_of(h);
+  }
+  static Status add_property(Transaction& t, Handle h, std::uint32_t p, const PropValue& x) {
+    return t.add_property(h, p, x);
+  }
+  static Status update_property(Transaction& t, Handle h, std::uint32_t p,
+                                const PropValue& x) {
+    return t.update_property(h, p, x);
+  }
+  static Result<std::vector<PropValue>> properties(Transaction& t, Handle h, std::uint32_t p) {
+    return t.get_properties(h, p);
+  }
+  static Status erase(Transaction& t, Handle h) { return t.delete_vertex(h); }
+};
+
+struct EdgeKind {
+  using Handle = EdgeHandle;
+  /// Both endpoints exist before the holder under test, so their blocks do
+  /// not count towards its blocks in use.
+  static void setup(Transaction& t) {
+    (void)t.create_vertex(1);
+    (void)t.create_vertex(2);
+  }
+  static Result<Handle> create(Transaction& t, std::uint64_t) {
+    auto a = t.find_vertex(1);
+    auto b = t.find_vertex(2);
+    if (!a.ok() || !b.ok()) return Status::kNotFound;
+    return t.create_heavy_edge(*a, *b, Dir::kOut);
+  }
+  static Result<Handle> open(Transaction& t, DPtr id) { return t.associate_edge(id); }
+  static DPtr id(Handle h) { return h.eid; }
+  static Status add_label(Transaction& t, Handle h, std::uint32_t l) {
+    return t.add_edge_label(h, l);
+  }
+  static Status remove_label(Transaction& t, Handle h, std::uint32_t l) {
+    return t.remove_edge_label(h, l);
+  }
+  static Result<std::vector<std::uint32_t>> labels(Transaction& t, Handle h) {
+    return t.edge_labels_of(h);
+  }
+  static Status add_property(Transaction& t, Handle h, std::uint32_t p, const PropValue& x) {
+    return t.add_edge_property(h, p, x);
+  }
+  static Status update_property(Transaction& t, Handle h, std::uint32_t p,
+                                const PropValue& x) {
+    return t.update_edge_property(h, p, x);
+  }
+  static Result<std::vector<PropValue>> properties(Transaction& t, Handle h, std::uint32_t p) {
+    return t.get_edge_properties(h, p);
+  }
+  /// Deletes the edge through its origin (the holder goes with it).
+  static Status erase(Transaction& t, Handle h) {
+    auto a = t.find_vertex(1);
+    if (!a.ok()) return a.status();
+    auto edges = t.edges_of(*a, DirFilter::kOut);
+    if (!edges.ok()) return edges.status();
+    for (const auto& e : *edges)
+      if (e.heavy == h.eid) return t.delete_edge(*a, e.uid);
+    return Status::kNotFound;
+  }
+};
+
+std::vector<std::byte> pattern_bytes(std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::byte>(i % 251);
+  return out;
+}
+
+/// Runs the shared holder script against one holder kind; returns the
+/// holder's blocks in use after each committed step.
+template <class Kind>
+std::vector<std::uint64_t> holder_script() {
+  std::vector<std::uint64_t> trace;
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db(256, 1024));
+    const Meta m = make_meta(self, db);
+    PropertyType blob_t{.name = "blob", .dtype = Datatype::kBytes};
+    const std::uint32_t blob = *db->create_ptype(self, blob_t);
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      Kind::setup(w);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    const std::uint64_t base = db->blocks().allocated_count(self, 0);
+    auto in_use = [&] { return db->blocks().allocated_count(self, 0) - base; };
+
+    DPtr id;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto h = Kind::create(w, 1);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) id = Kind::id(*h);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    trace.push_back(in_use());
+
+    // One write transaction per step, checked by a fresh reader afterwards.
+    auto write = [&](auto&& body) {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto h = Kind::open(w, id);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) body(w, *h);
+      EXPECT_EQ(w.commit(), Status::kOk);
+      trace.push_back(in_use());
+    };
+    auto read = [&](auto&& check) {
+      Transaction r(db, self, TxnMode::kRead);
+      auto h = Kind::open(r, id);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) check(r, *h);
+      EXPECT_EQ(r.commit(), Status::kOk);
+    };
+    auto ints = [](const Result<std::vector<PropValue>>& r) {
+      std::vector<std::int64_t> out;
+      if (r.ok())
+        for (const auto& x : *r) out.push_back(std::get<std::int64_t>(x));
+      return out;
+    };
+    auto bytes = [](const Result<std::vector<PropValue>>& r) {
+      std::vector<std::vector<std::byte>> out;
+      if (r.ok())
+        for (const auto& x : *r) out.push_back(std::get<std::vector<std::byte>>(x));
+      return out;
+    };
+    using Labels = std::vector<std::uint32_t>;
+    using Blobs = std::vector<std::vector<std::byte>>;
+
+    read([&](Transaction& r, auto h) {
+      EXPECT_EQ(*Kind::labels(r, h), Labels{});
+      EXPECT_TRUE(ints(Kind::properties(r, h, m.age)).empty());
+    });
+
+    write([&](Transaction& w, auto h) {
+      EXPECT_EQ(Kind::add_label(w, h, m.person), Status::kOk);
+      EXPECT_EQ(Kind::add_label(w, h, m.knows), Status::kOk);
+      EXPECT_EQ(Kind::add_label(w, h, m.person), Status::kAlreadyExists);
+    });
+    read([&](Transaction& r, auto h) {
+      EXPECT_EQ(*Kind::labels(r, h), (Labels{m.person, m.knows}));
+    });
+
+    write([&](Transaction& w, auto h) {
+      EXPECT_EQ(Kind::remove_label(w, h, m.person), Status::kOk);
+      EXPECT_EQ(Kind::remove_label(w, h, m.person), Status::kNotFound);
+    });
+    read([&](Transaction& r, auto h) { EXPECT_EQ(*Kind::labels(r, h), Labels{m.knows}); });
+
+    write([&](Transaction& w, auto h) {
+      EXPECT_EQ(Kind::add_property(w, h, m.age, PropValue{std::int64_t{7}}), Status::kOk);
+      EXPECT_EQ(Kind::add_property(w, h, m.age, PropValue{std::int64_t{8}}),
+                Status::kConstraintViolated);  // kSingle
+      EXPECT_EQ(Kind::update_property(w, h, m.age, PropValue{std::int64_t{9}}), Status::kOk);
+    });
+    read([&](Transaction& r, auto h) {
+      EXPECT_EQ(ints(Kind::properties(r, h, m.age)), std::vector<std::int64_t>{9});
+    });
+
+    // Grow to a multi-block holder: the large property spills into
+    // continuation blocks acquired at commit.
+    const auto large = pattern_bytes(300);
+    write([&](Transaction& w, auto h) {
+      EXPECT_EQ(Kind::add_property(w, h, blob, PropValue{large}), Status::kOk);
+    });
+    read([&](Transaction& r, auto h) {
+      EXPECT_EQ(bytes(Kind::properties(r, h, blob)), Blobs{large});
+      EXPECT_EQ(ints(Kind::properties(r, h, m.age)), std::vector<std::int64_t>{9});
+      EXPECT_EQ(*Kind::labels(r, h), Labels{m.knows});
+    });
+
+    // Shrink the payload back. The replaced entry is tombstoned, not
+    // reclaimed, so the holder may grow once more and never gives blocks
+    // back through this API.
+    const auto small = pattern_bytes(8);
+    write([&](Transaction& w, auto h) {
+      EXPECT_EQ(Kind::update_property(w, h, blob, PropValue{small}), Status::kOk);
+      EXPECT_EQ(Kind::update_property(w, h, m.age, PropValue{std::int64_t{10}}), Status::kOk);
+    });
+    read([&](Transaction& r, auto h) {
+      EXPECT_EQ(bytes(Kind::properties(r, h, blob)), Blobs{small});
+      EXPECT_EQ(ints(Kind::properties(r, h, m.age)), std::vector<std::int64_t>{10});
+    });
+
+    // A created-then-aborted holder returns its block.
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto h = Kind::create(w, 2);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) {
+        EXPECT_EQ(Kind::add_label(w, *h, m.car), Status::kOk);
+        EXPECT_EQ(Kind::add_property(w, *h, blob, PropValue{large}), Status::kOk);
+      }
+      w.abort();
+      trace.push_back(in_use());
+    }
+    read([&](Transaction& r, auto h) { EXPECT_EQ(*Kind::labels(r, h), Labels{m.knows}); });
+
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto h = Kind::open(w, id);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) EXPECT_EQ(Kind::erase(w, *h), Status::kOk);
+      EXPECT_EQ(w.commit(), Status::kOk);
+      trace.push_back(in_use());
+    }
+    Transaction r(db, self, TxnMode::kRead);
+    EXPECT_EQ(Kind::open(r, id).status(), Status::kNotFound);
+  });
+  return trace;
+}
+
+TEST(Txn, VertexAndHeavyEdgeHolderParity) {
+  const auto vertex = holder_script<VertexKind>();
+  const auto edge = holder_script<EdgeKind>();
+  // Blocks in use after: create, label, unlabel, properties, grow, shrink
+  // back, abort a created holder, delete. The layouts differ (a vertex also
+  // reserves edge slots), so the growth steps differ by kind.
+  EXPECT_EQ(vertex, (std::vector<std::uint64_t>{1, 1, 1, 1, 3, 4, 4, 0}));
+  EXPECT_EQ(edge, (std::vector<std::uint64_t>{1, 1, 1, 1, 2, 4, 4, 0}));
+}
+
+/// A refused update must not remove the value it would have replaced.
+template <class Kind>
+void failed_update_keeps_old_value() {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db(256, 1024));
+    const Meta m = make_meta(self, db);
+    DPtr id;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      Kind::setup(w);
+      auto h = Kind::create(w, 1);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) {
+        id = Kind::id(*h);
+        EXPECT_EQ(Kind::add_property(w, *h, m.name, PropValue{std::string("old")}),
+                  Status::kOk);
+      }
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto h = Kind::open(w, id);
+      EXPECT_TRUE(h.ok());
+      if (h.ok()) {
+        // Far beyond what one holder's block table can address.
+        EXPECT_EQ(Kind::update_property(w, *h, m.name, PropValue{std::string(20000, 'x')}),
+                  Status::kNoSpace);
+        auto now = Kind::properties(w, *h, m.name);
+        EXPECT_TRUE(now.ok() && now->size() == 1u);
+      }
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    Transaction r(db, self, TxnMode::kRead);
+    auto h = Kind::open(r, id);
+    EXPECT_TRUE(h.ok());
+    if (h.ok()) {
+      auto got = Kind::properties(r, *h, m.name);
+      EXPECT_TRUE(got.ok());
+      if (got.ok()) EXPECT_EQ(*got, std::vector<PropValue>{PropValue{std::string("old")}});
+    }
+  });
+}
+
+TEST(Txn, FailedUpdateKeepsOldValue) {
+  failed_update_keeps_old_value<VertexKind>();
+  failed_update_keeps_old_value<EdgeKind>();
+}
+
+/// update_* applies the same entity-type and size checks as add_*.
+template <class Kind>
+void update_enforces_add_checks() {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db());
+    PropertyType lim{.name = "lim4", .dtype = Datatype::kString,
+                     .stype = SizeType::kLimited, .max_size = 4};
+    PropertyType fixed{.name = "fixed8", .dtype = Datatype::kBytes,
+                       .stype = SizeType::kFixed, .max_size = 8};
+    PropertyType vonly{.name = "vp", .dtype = Datatype::kInt64,
+                       .etype = EntityType::kVertex};
+    PropertyType eonly{.name = "ep", .dtype = Datatype::kInt64,
+                       .etype = EntityType::kEdge};
+    const auto pl = *db->create_ptype(self, lim);
+    const auto pf = *db->create_ptype(self, fixed);
+    const auto pv = *db->create_ptype(self, vonly);
+    const auto pe = *db->create_ptype(self, eonly);
+    const bool is_edge = std::is_same_v<Kind, EdgeKind>;
+    Transaction w(db, self, TxnMode::kWrite);
+    Kind::setup(w);
+    auto h = Kind::create(w, 1);
+    EXPECT_TRUE(h.ok());
+    if (h.ok()) {
+      EXPECT_EQ(Kind::update_property(w, *h, pl, PropValue{std::string("abc")}), Status::kOk);
+      EXPECT_EQ(Kind::update_property(w, *h, pl, PropValue{std::string("abcdefgh")}),
+                Status::kConstraintViolated);
+      EXPECT_EQ(Kind::update_property(w, *h, pf, PropValue{std::vector<std::byte>(7)}),
+                Status::kConstraintViolated);
+      EXPECT_EQ(Kind::update_property(w, *h, pf, PropValue{std::vector<std::byte>(8)}),
+                Status::kOk);
+      EXPECT_EQ(Kind::update_property(w, *h, is_edge ? pv : pe, PropValue{std::int64_t{1}}),
+                Status::kInvalidArgument);
+      EXPECT_EQ(Kind::update_property(w, *h, is_edge ? pe : pv, PropValue{std::int64_t{1}}),
+                Status::kOk);
+      // The refused updates left the accepted values in place.
+      EXPECT_EQ(*Kind::properties(w, *h, pl),
+                std::vector<PropValue>{PropValue{std::string("abc")}});
+    }
+    EXPECT_EQ(w.commit(), Status::kOk);
+  });
+}
+
+TEST(Txn, UpdateEnforcesAddChecks) {
+  update_enforces_add_checks<VertexKind>();
+  update_enforces_add_checks<EdgeKind>();
 }
 
 class TxnConcurrent : public ::testing::TestWithParam<int> {};
