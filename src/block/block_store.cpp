@@ -68,22 +68,16 @@ std::uint64_t BlockStore::allocated_count(rma::Rank& self, std::uint32_t target)
   return system_.atomic_get_u64(self, target, kCountOffset);
 }
 
-bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, int attempts,
-                               std::uint64_t* word_out, std::uint64_t version_hint) {
+bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, std::uint64_t* word_out) {
   const std::uint64_t off = lock_offset(block_index(blk));
-  std::uint64_t old = version_hint != 0
-                          ? (version_hint & kVersionMask)
-                          : system_.atomic_get_u64(self, blk.rank(), off);
-  for (int i = 0; i < attempts; ++i) {
-    if (old & kWriteBit) return false;  // writer present
-    const std::uint64_t seen = system_.cas_u64(self, blk.rank(), off, old, old + 1);
-    if (seen == old) {
-      if (word_out != nullptr) *word_out = old;
-      return true;
-    }
-    old = seen;  // raced with another reader/writer; re-examine
+  const std::uint64_t prev = system_.faa_u64(self, blk.rank(), off, 1);
+  if (write_locked(prev)) {
+    // Visible writer: withdraw the increment and give up at once.
+    (void)system_.faa_u64_nb(self, blk.rank(), off, -1);
+    return false;
   }
-  return false;
+  if (word_out != nullptr) *word_out = prev;
+  return true;
 }
 
 void BlockStore::read_unlock(rma::Rank& self, DPtr blk) {
@@ -97,40 +91,24 @@ void BlockStore::read_unlock_nb(rma::Rank& self, DPtr blk) {
 }
 
 std::vector<std::uint8_t> BlockStore::try_read_lock_many(
-    rma::Rank& self, std::span<const DPtr> blks, int attempts,
-    std::vector<std::uint64_t>* words_out, std::span<const std::uint64_t> hints) {
-  assert(hints.empty() || hints.size() == blks.size());
-  std::vector<std::uint8_t> got(blks.size(), 0);
-  if (words_out != nullptr) words_out->assign(blks.size(), 0);
-  struct Pending {
-    std::size_t i;
-    std::uint64_t expected;  ///< last observed lock word (optimistically the
-                             ///< hinted version, else the fresh-block 0)
-    std::uint64_t prev = 0;  ///< CAS result landing here at the next flush
-  };
-  std::vector<Pending> pend;
-  pend.reserve(blks.size());
-  for (std::size_t i = 0; i < blks.size(); ++i)
-    pend.push_back({i, hints.empty() ? 0 : hints[i] & kVersionMask});
-  for (int round = 0; round < attempts && !pend.empty(); ++round) {
-    for (auto& p : pend) {
-      const DPtr b = blks[p.i];
-      (void)system_.cas_u64_nb(self, b.rank(), lock_offset(block_index(b)), p.expected,
-                               p.expected + 1, &p.prev);
-    }
-    (void)self.flush_all();
-    std::vector<Pending> next;
-    for (const auto& p : pend) {
-      if (p.prev == p.expected) {
-        got[p.i] = 1;
-        if (words_out != nullptr) (*words_out)[p.i] = p.prev;
-      } else if ((p.prev & kWriteBit) == 0) {
-        next.push_back({p.i, p.prev});  // raced with a reader; retry
-      }
-      // Writer present: give up on this word (blocking try_read_lock semantics).
-    }
-    pend = std::move(next);
+    rma::Rank& self, std::span<const DPtr> blks, std::vector<std::uint64_t>* words_out) {
+  std::vector<std::uint64_t> prev(blks.size(), 0);
+  for (std::size_t i = 0; i < blks.size(); ++i) {
+    const DPtr b = blks[i];
+    (void)system_.faa_u64_nb(self, b.rank(), lock_offset(block_index(b)), 1, &prev[i]);
   }
+  if (!blks.empty()) (void)self.flush_all();
+  std::vector<std::uint8_t> got(blks.size(), 0);
+  for (std::size_t i = 0; i < blks.size(); ++i) {
+    if (!write_locked(prev[i])) {
+      got[i] = 1;
+      continue;
+    }
+    // Writer present: withdraw (completes at the caller's next flush).
+    const DPtr b = blks[i];
+    (void)system_.faa_u64_nb(self, b.rank(), lock_offset(block_index(b)), -1);
+  }
+  if (words_out != nullptr) *words_out = std::move(prev);
   return got;
 }
 
@@ -180,27 +158,26 @@ bool BlockStore::try_write_lock(rma::Rank& self, DPtr blk,
   return system_.cas_u64(self, blk.rank(), off, prev, prev | kWriteBit) == prev;
 }
 
-bool BlockStore::try_upgrade_lock(rma::Rank& self, DPtr blk) {
-  const std::uint64_t off = lock_offset(block_index(blk));
-  const std::uint64_t prev = system_.cas_u64(self, blk.rank(), off, 1, kWriteBit);
-  if (prev == 1) return true;
-  if ((prev & (kWriteBit | kReadMask)) != 1) return false;  // not the sole reader
-  // Sole reader at a nonzero version: clear our read count, set the bit.
-  return system_.cas_u64(self, blk.rank(), off, prev, (prev - 1) | kWriteBit) == prev;
+bool BlockStore::try_upgrade_lock(rma::Rank& self, DPtr blk, std::uint64_t acq_word) {
+  const std::uint64_t v = version_of(acq_word);
+  return system_.cas_u64(self, blk.rank(), lock_offset(block_index(blk)), v | 1,
+                         v | kWriteBit) == (v | 1);
 }
 
-std::vector<std::uint8_t> BlockStore::try_upgrade_many(rma::Rank& self,
-                                                       std::span<const DPtr> blks,
-                                                       int attempts) {
+std::vector<std::uint8_t> BlockStore::try_upgrade_many(
+    rma::Rank& self, std::span<const DPtr> blks, int attempts,
+    std::span<const std::uint64_t> acq_words) {
+  assert(acq_words.empty() || acq_words.size() == blks.size());
   std::vector<std::uint8_t> got(blks.size(), 0);
   struct Pending {
     std::size_t i;
-    std::uint64_t expected = 1;  ///< sole-reader word we bid on
+    std::uint64_t expected;  ///< sole-reader word we bid on
     std::uint64_t prev = 0;
   };
   std::vector<Pending> pend;
   pend.reserve(blks.size());
-  for (std::size_t i = 0; i < blks.size(); ++i) pend.push_back({i});
+  for (std::size_t i = 0; i < blks.size(); ++i)
+    pend.push_back({i, (acq_words.empty() ? 0 : version_of(acq_words[i])) | 1});
   for (int round = 0; round < attempts && !pend.empty(); ++round) {
     for (auto& p : pend) {
       const DPtr b = blks[p.i];
@@ -213,8 +190,9 @@ std::vector<std::uint8_t> BlockStore::try_upgrade_many(rma::Rank& self,
       if (p.prev == p.expected) {
         got[p.i] = 1;
       } else if ((p.prev & kWriteBit) == 0) {
-        // Other readers still present (or a version we had not seen): keep
-        // bidding on the sole-reader form; they may drain within `attempts`.
+        // Other readers still present (or, without acq_words, a version we
+        // had not seen): keep bidding on the sole-reader form; they may
+        // drain within `attempts`.
         next.push_back({p.i, version_of(p.prev) | 1});
       }
       // A raced-in writer is impossible while we hold a read lock; a write
@@ -251,12 +229,13 @@ std::uint64_t BlockStore::write_unlock_fetch(rma::Rank& self, DPtr blk,
   }
   if (version_of(prev) == kVersionMask) [[unlikely]] {
     // Version wrap: the increment's carry landed in the write bit, so the
-    // word now reads as write-locked by nobody -- and since it does, no
-    // agent can have touched it, making it still effectively ours to repair
-    // (one extra atomic every 2^31 releases of one block). The repaired word
-    // is 0, so the published version is 0.
-    if (nonblocking) (void)system_.atomic_put_u64_nb(self, blk.rank(), off, 0);
-    else system_.atomic_put_u64(self, blk.rank(), off, 0);
+    // word now reads as write-locked by nobody. Only withdrawing readers can
+    // have touched it since (their pending -1s must still land on a zero
+    // count), so clear just the bit -- one extra atomic every 2^31 releases
+    // of one block. The published version is 0.
+    const auto clear = static_cast<std::int64_t>(-kWriteBit);
+    if (nonblocking) (void)system_.faa_u64_nb(self, blk.rank(), off, clear);
+    else (void)system_.faa_u64(self, blk.rank(), off, clear);
     return 0;
   }
   return version_of(prev) + (std::uint64_t{1} << kVersionShift);

@@ -11,8 +11,9 @@
 // acquireBlock/releaseBlock are lock-free Treiber-stack operations on the
 // free-list head; the head word carries a 16-bit tag to defeat the ABA
 // problem ("tagged pointer technique", paper Section 5.5). The RW lock word
-// (paper Section 5.6, Figure 3) packs a write bit and a read counter into one
-// 64-bit word so both acquisition paths are single remote atomics.
+// (paper Section 5.6, Figure 3) packs a write bit, a version and a read
+// counter into one 64-bit word, so a read lock is one remote FAA and an
+// upgrade or a write lock of known version one remote CAS.
 #pragma once
 
 #include <cstdint>
@@ -101,66 +102,66 @@ class BlockStore {
   // word packs three fields:
   //   `(write_bit << 63) | (version << 32) | read_counter`
   // The 31-bit *version* counts completed write critical sections: every
-  // write_unlock bumps it by one. Readers CAS the low counter and leave the
-  // version untouched, so a reader that acquired the word at version v and
-  // later re-observes version v knows the block bytes cannot have changed in
-  // between -- the validation rule of the shared block cache (src/cache/).
-  // The version wraps after 2^31 writes to one block (write_unlock repairs
-  // the increment's carry with one extra atomic at the wrap point); a
-  // wrap-around ABA needs exactly 2^31 commits between two validations of
-  // one cache entry, which we accept (and the entry-count bound makes even
-  // less likely).
+  // write_unlock bumps it by one. Readers add to the low counter and leave
+  // the version untouched, so a reader that acquired the word at version v
+  // and later re-observes version v knows the block bytes cannot have
+  // changed in between -- the validation rule of the shared block cache
+  // (src/cache/). The version wraps after 2^31 writes to one block
+  // (write_unlock repairs the increment's carry with one extra atomic at the
+  // wrap point); a wrap-around ABA needs exactly 2^31 commits between two
+  // validations of one cache entry, which we accept (and the entry-count
+  // bound makes even less likely).
   //
-  // Fresh blocks have version 0, so first-acquisition costs are unchanged; a
-  // previously-written block costs one extra CAS on the write/upgrade paths
-  // (the first CAS learns the version, the second applies it).
+  // Readers FAA(+1): the displaced word dates the lock, and one showing the
+  // write bit makes the reader withdraw with a nonblocking FAA(-1) and fail.
+  // That transient increment may sit on a write-locked word: CAS bids
+  // (writers, upgraders) just fail on it, and the unlock paths leave it for
+  // the withdrawal. Writers bid on a free word at the hinted version (else
+  // 0; a free word at another version costs a second CAS); upgraders bid on
+  // their acquisition word's version, which cannot move while they hold a
+  // read lock.
 
-  /// On success, *word_out (if non-null) receives the lock word observed just
-  /// before our CAS -- its version bits date the acquired read lock.
-  /// `version_hint` (masked version bits, e.g. a shared-cache entry's stamp)
-  /// seeds the first CAS expectation: a correct hint saves the initial word
-  /// read, a stale one costs nothing beyond it -- the failing CAS returns the
-  /// fresh word the retry loop needed anyway. 0 = no hint (read the word).
-  [[nodiscard]] bool try_read_lock(rma::Rank& self, DPtr blk, int attempts = 16,
-                                   std::uint64_t* word_out = nullptr,
-                                   std::uint64_t version_hint = 0);
+  /// One FAA(+1). On success, *word_out (if non-null) receives the word the
+  /// FAA displaced -- its version bits date the acquired read lock. A
+  /// visible writer makes the attempt withdraw and fail at once.
+  [[nodiscard]] bool try_read_lock(rma::Rank& self, DPtr blk,
+                                   std::uint64_t* word_out = nullptr);
   void read_unlock(rma::Rank& self, DPtr blk);
-  /// `version_hint` as in try_read_lock: bid directly on the hinted free word
-  /// instead of the fresh-block form, saving the learn-the-version CAS on
-  /// previously-written blocks whose version the caller already knows (the
-  /// write-through cache keeps a writer's own rows' versions current).
+  /// `version_hint` (masked version bits, e.g. a shared-cache entry's stamp)
+  /// is the version the CAS bids on instead of the fresh-block 0, saving the
+  /// learn-the-version CAS on previously-written blocks whose version the
+  /// caller already knows (the write-through cache keeps a writer's own
+  /// rows' versions current).
   [[nodiscard]] bool try_write_lock(rma::Rank& self, DPtr blk,
                                     std::uint64_t version_hint = 0);
-  /// Batched lock acquisition: one nonblocking CAS per lock word per round,
-  /// each round completed by a single flush_all, so acquiring k independent
-  /// locks costs ceil(rounds) overlapped latencies instead of k serial CAS
-  /// round-trips. result[i] == 1 iff blks[i] was acquired. Per-word semantics
-  /// are identical to the blocking try_*_lock calls (a visible writer makes a
-  /// read-lock attempt give up immediately; contended words retry up to
-  /// `attempts` rounds). words_out (if non-null) is resized to blks.size();
-  /// words_out[i] receives the word observed before the winning CAS for
-  /// acquired locks (undefined for failures). `hints` (empty, or one entry
-  /// per block) carries per-word version hints exactly like the singleton
-  /// paths' `version_hint`: hints[i]'s version bits seed blks[i]'s first CAS
-  /// expectation, so a warm row locks in one CAS round instead of burning the
-  /// first round learning its version; a stale hint costs nothing extra (the
-  /// failed CAS fetches the fresh word the retry round needed anyway).
+  /// Batched try_read_lock: one nonblocking FAA(+1) per word and one
+  /// flush_all. result[i] == 1 iff blks[i] was acquired; withdrawals complete
+  /// at the caller's next flush. words_out (if non-null) receives every
+  /// displaced word.
   [[nodiscard]] std::vector<std::uint8_t> try_read_lock_many(
-      rma::Rank& self, std::span<const DPtr> blks, int attempts = 16,
-      std::vector<std::uint64_t>* words_out = nullptr,
-      std::span<const std::uint64_t> hints = {});
+      rma::Rank& self, std::span<const DPtr> blks,
+      std::vector<std::uint64_t>* words_out = nullptr);
+  /// Batched write locks: one nonblocking CAS per word per round, each round
+  /// completed by one flush_all; contended words retry up to `attempts`
+  /// rounds. `hints` (empty, or one per block) carries try_write_lock's
+  /// version hint per word; a stale one costs one round, whose failed CAS
+  /// fetches the word the next bid needs.
   [[nodiscard]] std::vector<std::uint8_t> try_write_lock_many(
       rma::Rank& self, std::span<const DPtr> blks, int attempts = 16,
       std::span<const std::uint64_t> hints = {});
-  /// Upgrade a held read lock to a write lock (succeeds only if this is the
-  /// sole reader and no writer raced in).
-  [[nodiscard]] bool try_upgrade_lock(rma::Rank& self, DPtr blk);
-  /// Batched read->write upgrades: one nonblocking CAS per word per round
-  /// (sole-reader semantics per word, identical to try_upgrade_lock), each
-  /// round completed by one flush_all. Used by BatchScope when write ops
-  /// re-touch vertices the batch already read-locked.
+  /// Upgrade a held read lock to a write lock with one CAS: succeeds only if
+  /// this is the sole reader and no withdrawing reader is in flight.
+  /// `acq_word` is the word the read lock observed (try_read_lock's
+  /// word_out); 0 is exact for a never-written block.
+  [[nodiscard]] bool try_upgrade_lock(rma::Rank& self, DPtr blk,
+                                      std::uint64_t acq_word = 0);
+  /// Batched try_upgrade_lock: one nonblocking CAS per word per round, each
+  /// round completed by one flush_all; words whose other readers have not
+  /// drained retry up to `attempts` rounds. `acq_words` is empty or one per
+  /// block (empty costs a written word one round to learn its version).
   [[nodiscard]] std::vector<std::uint8_t> try_upgrade_many(
-      rma::Rank& self, std::span<const DPtr> blks, int attempts = 16);
+      rma::Rank& self, std::span<const DPtr> blks, int attempts = 16,
+      std::span<const std::uint64_t> acq_words = {});
   void write_unlock(rma::Rank& self, DPtr blk);
   /// Nonblocking unlocks: the atomic joins the rank's pending batch and
   /// completes (cost-wise) at the next flush_all. Release order is irrelevant
@@ -174,13 +175,15 @@ class BlockStore {
   /// writer learns the version its own unlock published -- the version the
   /// next validator of this block will observe. Returns those post-unlock
   /// version bits (already in lock-word position, i.e. comparable to
-  /// version_of()); 0 at the 2^31 wrap, where the repair publishes a zero
-  /// word. With `nonblocking` the FAA (and any wrap repair) joins the rank's
-  /// pending batch -- the fetched value is acted on locally only (shared-
-  /// cache re-stamp), which a real backend would defer to the enclosing
-  /// epoch's flush. The write-through protocol is built on this call: holding
-  /// the write bit excludes every other agent, so the fetched word is exactly
-  /// `held_version | write_bit` and the re-stamped version is tamper-proof.
+  /// version_of()); 0 at the 2^31 wrap, where the repair clears the carried
+  /// write bit. With `nonblocking` the FAA (and any wrap repair) joins the
+  /// rank's pending batch -- the fetched value is acted on locally only
+  /// (shared-cache re-stamp), which a real backend would defer to the
+  /// enclosing epoch's flush. The write-through protocol is built on this
+  /// call: holding the write bit excludes every other agent's bytes and
+  /// version, so the fetched word is `held_version | write_bit` plus at most
+  /// some withdrawing readers' transient counts, which version_of() masks;
+  /// the re-stamped version is tamper-proof.
   std::uint64_t write_unlock_fetch(rma::Rank& self, DPtr blk, bool nonblocking);
   /// Batched 8-byte lock-word peeks: with `batched` one nonblocking atomic
   /// per word completed by a single flush_all, otherwise one blocking atomic
@@ -199,8 +202,9 @@ class BlockStore {
   static constexpr std::uint64_t kReadMask = (std::uint64_t{1} << kVersionShift) - 1;
   static constexpr std::uint64_t kVersionMask = ~(kWriteBit | kReadMask);
   /// write_unlock = one FAA of this delta: +1 version, -write_bit. The writer
-  /// holds the word at `version | write_bit` with zero readers (readers never
-  /// join while the bit is set), so the add carries no surprises.
+  /// holds the word at `version | write_bit`; the low counter holds only
+  /// withdrawing readers' transient counts (no reader acquires while the bit
+  /// is set), which the add leaves for their own FAA(-1)s to remove.
   static constexpr std::uint64_t kWriteUnlockDelta =
       (std::uint64_t{1} << kVersionShift) - kWriteBit;
   [[nodiscard]] static constexpr std::uint64_t version_of(std::uint64_t word) {

@@ -9,12 +9,12 @@
 // completed write critical sections). Validation is the whole protocol:
 //
 //   * fill under a read lock: the bytes cannot change while the lock is
-//     held, so the version observed by the lock-acquisition CAS dates the
+//     held, so the version observed by the lock-acquisition FAA dates the
 //     snapshot exactly;
 //   * fill without a lock (kReadShared): bracket the block reads with two
 //     lock-word peeks; cache only if both peeks agree on the version and
 //     neither shows the write bit (seqlock discipline);
-//   * hit under a read lock: free -- the acquisition CAS already observed
+//   * hit under a read lock: free -- the acquisition FAA already observed
 //     the current word; version equal to the stamp proves no writer
 //     completed since the fill, so the cached bytes are the bytes a fetch
 //     would return *under this very lock* (kRead serializability is

@@ -489,7 +489,7 @@ std::vector<std::uint8_t> DistributedHashTable::insert_many(
   if (rehomed) (void)self.flush_all();
   const std::uint32_t batch_placed = rl.shards;
 
-  // CAS rounds (the try_read_lock_many shape): each still-unlinked insert
+  // CAS rounds (the try_write_lock_many shape): each still-unlinked insert
   // rewrites its next field to the head it observed and CASes the bucket
   // head; losers carry the observed value into the next round as their new
   // expectation. The next-field write and the CAS share a round -- the NIC

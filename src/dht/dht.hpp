@@ -85,7 +85,7 @@
 //   1 overlapped round of field reads/writes (gens, heads, keys, values,
 //     plus the shared directory read that fixes the batch's placement count)
 // + ceil(k/Q) * max(alpha) per head-CAS round (same round-by-round shape as
-//   BlockStore::try_read_lock_many)
+//   BlockStore::try_write_lock_many)
 // instead of k serial insert latency chains.
 #pragma once
 

@@ -7,8 +7,9 @@
 // edges_of, get_properties, set_property, prefetch -- and resolves all of them
 // with one execute() that:
 //   * translates every application ID through one DHT multi-lookup,
-//   * acquires all needed vertex locks with overlapped CAS rounds
-//     (BlockStore::try_read_lock_many / try_write_lock_many),
+//   * acquires all needed vertex locks in overlapped rounds: one FAA round
+//     for read locks (BlockStore::try_read_lock_many), CAS rounds for write
+//     locks (try_write_lock_many),
 //   * fetches every holder block through get_nb + a single flush_all per round
 //     (primary blocks in one overlapped batch, continuation blocks in a
 //     second),
@@ -125,7 +126,7 @@ class BatchScope {
   /// GDI_AssociateEdgeNb: fetch + lock a heavy edge's holder. All edge
   /// holders of one execute() -- these, get_edge_properties targets, and the
   /// heavy edges behind constraint-filtered edges_of -- ride one fetch_batch
-  /// over edge holders: one overlapped lock CAS round set plus one primary
+  /// over edge holders: one overlapped lock round set plus one primary
   /// and one continuation block round for the whole set, the same treatment
   /// vertices get (and the same shared-cache eligibility).
   Future<EdgeHandle> associate_edge(DPtr eid);

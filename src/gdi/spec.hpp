@@ -135,7 +135,7 @@ inline Status GDI_GetTypeOfTransaction(TxnScope* scope_out, TxnMode* mode_out,
 // Spec-style access to the batch engine: start a batch object, enqueue GDI_*Nb
 // operations (each returns a typed future through an out-parameter), then
 // complete all of them with one GDI_Execute, which overlaps the DHT lookups,
-// lock CAS rounds, and block fetches of the whole batch. Futures report their
+// lock rounds, and block fetches of the whole batch. Futures report their
 // per-operation outcome via Future::status() after GDI_Execute returns.
 
 using GDI_Batch = BatchScope;

@@ -377,7 +377,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     bool write = false;
     bool required = false;
     LockState lock = LockState::kNone;
-    std::uint64_t word = 0;      ///< lock word observed by the acquiring CAS
+    std::uint64_t word = 0;      ///< lock word observed by the acquiring FAA
     std::uint64_t pre_word = 0;  ///< kReadShared: peek bracketing the fill
     bool have_pre = false;
     bool cached = false;         ///< materialized from the shared cache
@@ -387,8 +387,10 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   std::vector<Item> items;
   std::unordered_map<std::uint64_t, std::size_t> item_of;
   std::vector<std::size_t> spec_item(specs.size(), SIZE_MAX);
-  // Read->write upgrades of already-held states: unique ids + their specs.
+  // Read->write upgrades of already-held states: unique ids, the words their
+  // read locks observed (the upgrade bids), and their specs.
   std::vector<DPtr> upg_ids;
+  std::vector<std::uint64_t> upg_words;
   std::unordered_map<std::uint64_t, std::size_t> upg_of;
   std::vector<std::pair<std::size_t, std::size_t>> upg_specs;  // (spec, upg idx)
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -418,7 +420,10 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       }
       if (st->lock == LockState::kRead) {
         auto [uit, fresh] = upg_of.try_emplace(sp.id.raw(), upg_ids.size());
-        if (fresh) upg_ids.push_back(sp.id);
+        if (fresh) {
+          upg_ids.push_back(sp.id);
+          upg_words.push_back(st->lock_word);
+        }
         upg_specs.emplace_back(i, uit->second);
         continue;
       }
@@ -449,12 +454,12 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   if (!upg_ids.empty()) {
     std::vector<std::uint8_t> got;
     if (batching_enabled() && upg_ids.size() > 1) {
-      got = blocks.try_upgrade_many(self_, upg_ids, attempts);
+      got = blocks.try_upgrade_many(self_, upg_ids, attempts, upg_words);
     } else {
       got.assign(upg_ids.size(), 0);
       for (std::size_t j = 0; j < upg_ids.size(); ++j)
         for (int a = 0; a < attempts && got[j] == 0; ++a)
-          if (blocks.try_upgrade_lock(self_, upg_ids[j])) got[j] = 1;
+          if (blocks.try_upgrade_lock(self_, upg_ids[j], upg_words[j])) got[j] = 1;
     }
     std::vector<Status> upg_st(upg_ids.size(), Status::kOk);
     for (std::size_t j = 0; j < upg_ids.size(); ++j) {
@@ -479,11 +484,12 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   }
 
   // Phase 1: locks. kReadShared is lock-free for reads and rejects writes;
-  // locking modes acquire every still-needed lock with overlapped CAS rounds
-  // (one nonblocking CAS per word per round, one flush per round). Singleton
-  // batches use the blocking word ops -- same semantics, no flush overhead.
-  // The word each acquiring CAS observed is kept: its version bits date the
-  // lock, which is exactly what shared-cache validation needs (no extra op).
+  // locking modes acquire every still-needed lock in overlapped rounds (one
+  // nonblocking FAA per read lock, CAS rounds for write locks, one flush per
+  // round). Singleton batches use the blocking word ops -- same semantics, no
+  // flush overhead. The word each read lock's FAA observed is kept: its
+  // version bits date the lock, which is exactly what shared-cache
+  // validation and a later upgrade need (no extra op).
   if (mode_ == TxnMode::kReadShared) {
     for (auto& it : items) {
       if (!it.write) continue;
@@ -498,21 +504,20 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     std::vector<std::size_t> write_idx;
     for (std::size_t j = 0; j < items.size(); ++j)
       (items[j].write ? write_idx : read_idx).push_back(j);
+    // A shared-cache entry's version stamp (kept current for a rank's own
+    // rows by write-through) is the version a write lock bids on: a warm
+    // hint saves the learn-the-version round trip; a stale one costs
+    // nothing -- the failing CAS returns the fresh word the retry needed.
+    const auto hint_of = [&](DPtr id) -> std::uint64_t {
+      const auto* e = scache() != nullptr ? scache()->find(id) : nullptr;
+      return e != nullptr ? e->version : 0;
+    };
     auto lock_serial = [&](Item& it) {
+      if (!it.write) return blocks.try_read_lock(self_, it.id, &it.word);
       bool got = false;
-      // A shared-cache entry's version stamp (kept current for a rank's own
-      // rows by write-through) seeds the CAS expectation: a warm hint saves
-      // the learn-the-version round trip; a stale one costs nothing -- the
-      // failing CAS returns the fresh word the retry needed anyway.
-      std::uint64_t hint = 0;
-      if (auto* sc = scache())
-        if (const auto* e = sc->find(it.id)) hint = e->version;
-      if (it.write) {
-        for (int a = 0; a < attempts && !got; ++a)
-          got = blocks.try_write_lock(self_, it.id, hint);
-      } else {
-        got = blocks.try_read_lock(self_, it.id, attempts, &it.word, hint);
-      }
+      const std::uint64_t hint = hint_of(it.id);
+      for (int a = 0; a < attempts && !got; ++a)
+        got = blocks.try_write_lock(self_, it.id, hint);
       return got;
     };
     const bool batch_locks =
@@ -527,23 +532,14 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       wv.reserve(write_idx.size());
       for (std::size_t j : read_idx) rv.push_back(items[j].id);
       for (std::size_t j : write_idx) wv.push_back(items[j].id);
-      // Seed each word's first CAS with the same shared-cache version stamp
-      // the serial path uses -- a warm row locks without burning the
-      // learn-the-version round (empty hints = unhinted, identical ops).
-      std::vector<std::uint64_t> hints_r;
+      // Write bids carry the same hints the serial path uses (empty hints =
+      // unhinted, identical ops).
       std::vector<std::uint64_t> hints_w;
-      if (auto* sc = scache()) {
-        const auto hint_of = [&](DPtr id) -> std::uint64_t {
-          const auto* e = sc->find(id);
-          return e != nullptr ? e->version : 0;
-        };
-        hints_r.reserve(rv.size());
+      if (scache() != nullptr) {
         hints_w.reserve(wv.size());
-        for (DPtr v : rv) hints_r.push_back(hint_of(v));
         for (DPtr v : wv) hints_w.push_back(hint_of(v));
       }
-      if (!rv.empty())
-        got_r = blocks.try_read_lock_many(self_, rv, attempts, &words_r, hints_r);
+      if (!rv.empty()) got_r = blocks.try_read_lock_many(self_, rv, &words_r);
       if (!wv.empty()) got_w = blocks.try_write_lock_many(self_, wv, attempts, hints_w);
     }
     auto apply = [&](std::span<const std::size_t> idx,
@@ -567,7 +563,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   }
 
   // Phase 1.5: shared-cache consultation. Read-locked items validate for
-  // free against the word their lock CAS observed; kReadShared items share
+  // free against the word their lock FAA observed; kReadShared items share
   // one overlapped lock-word peek round, which doubles as the low bracket of
   // the seqlock fill discipline for the entries we end up fetching. Entries
   // carry their holder kind, so a block recycled into the other kind never
@@ -575,6 +571,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   auto install_from_entry = [&](Item& it, const cache::SharedBlockCache::Entry& e) {
     auto st = std::make_unique<S>();
     st->lock = it.lock;
+    st->lock_word = it.word;
     st->buf = e.buf;
     st->view.reset_dirty();
     if constexpr (!S::kIsEdge) snapshot_index_match(*st);
@@ -639,7 +636,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
 
   // Phase 3: materialize states (block-cache hits on the batched path).
   // Read-locked fetches stamp straight into the shared cache (bytes read
-  // under the lock, version from the acquiring CAS); kReadShared fetches
+  // under the lock, version from the acquiring FAA); kReadShared fetches
   // collect for the post-fill peek round below.
   std::vector<std::size_t> fill_candidates;
   for (std::size_t j = 0; j < items.size(); ++j) {
@@ -648,6 +645,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     if (mode_ != TxnMode::kReadShared && it.lock == LockState::kNone) continue;
     auto st = std::make_unique<S>();
     st->lock = it.lock;
+    st->lock_word = it.word;
     const std::uint64_t txn_hits_before = self_.counters().cache_hits;
     if (Status s = fetch_holder(it.id, *st); !ok(s)) {
       // Not a valid holder: release the just-taken lock and report. Drop the
@@ -754,8 +752,9 @@ Result<S*> Transaction::state(DPtr id, bool for_write) {
       auto& blocks = db_->blocks();
       bool got = false;
       for (int i = 0; i < db_->config().lock_attempts && !got; ++i) {
-        got = st->lock == LockState::kRead ? blocks.try_upgrade_lock(self_, id)
-                                           : blocks.try_write_lock(self_, id);
+        got = st->lock == LockState::kRead
+                  ? blocks.try_upgrade_lock(self_, id, st->lock_word)
+                  : blocks.try_write_lock(self_, id);
       }
       if (!got) return fail(Status::kTxnConflict);
       st->lock = LockState::kWrite;

@@ -112,7 +112,7 @@ class Transaction {
 
   /// Async-first surface (see gdi/async.hpp): returns a BatchScope on which
   /// typed operations are enqueued and resolved together by one execute()
-  /// that overlaps DHT lookups, lock CAS rounds, and block fetches. The
+  /// that overlaps DHT lookups, lock rounds, and block fetches. The
   /// blocking methods below are thin wrappers over this path.
   [[nodiscard]] BatchScope batch();
 
@@ -155,7 +155,7 @@ class Transaction {
   /// per-transaction block cache with no locking (primary blocks in one
   /// overlapped batch, continuation blocks in a second). In kRead mode the
   /// hint routes through the batched lock-then-validate path: read locks for
-  /// the whole set are acquired with overlapped CAS rounds, then the holders
+  /// the whole set are acquired in one overlapped FAA round, then the holders
   /// are fetched in the same two overlapped batches -- a lock failure skips
   /// that vertex (a hint never dooms the transaction). kWrite ignores the
   /// hint (speculative read locks would poison later lock upgrades), so call
@@ -266,6 +266,7 @@ class Transaction {
     std::vector<std::byte> buf;
     View view{buf};
     LockState lock = LockState::kNone;
+    std::uint64_t lock_word = 0;  ///< word the read lock observed (upgrade bid)
     bool created = false;
     bool deleted = false;
     std::vector<std::uint8_t> orig_index_match;  ///< per-db-index, at fetch time
@@ -291,6 +292,7 @@ class Transaction {
     std::vector<std::byte> buf;
     View view{buf};
     LockState lock = LockState::kNone;  ///< lock on the *edge holder* block
+    std::uint64_t lock_word = 0;
     bool created = false;
     bool deleted = false;
   };
@@ -340,7 +342,7 @@ class Transaction {
   // edge access, BatchScope::execute (vertex ops, then the heavy holders of
   // edge ops and constraint-filtered edges_of), kRead prefetch hints, index
   // scans -- funnels through fetch_batch. It acquires all still-needed locks
-  // with overlapped CAS rounds, pulls every primary block in one nonblocking
+  // in overlapped rounds, pulls every primary block in one nonblocking
   // batch and every continuation block in a second, and installs the
   // resulting states in vcache_ / ecache_. A one-element call degenerates to
   // the blocking path (no extra flush), so single-op wrappers cost what they

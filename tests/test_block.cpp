@@ -5,6 +5,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "block/block_store.hpp"
 
@@ -186,6 +187,73 @@ TEST(RwLock, UpgradeOnlyFromSoleReader) {
     EXPECT_TRUE(bs->try_upgrade_lock(self, p)) << "sole reader upgrades";
     EXPECT_EQ(bs->lock_word(self, p), BlockStore::kWriteBit);
     bs->write_unlock(self, p);
+  });
+}
+
+// Blocks whose lock words carry version 1: each written (locked and
+// released) once, so no acquisition can assume the fresh-block word 0.
+std::vector<DPtr> written_blocks(BlockStore& bs, rma::Rank& self, int n) {
+  std::vector<DPtr> blks;
+  for (int i = 0; i < n; ++i) {
+    blks.push_back(bs.acquire(self, 0));
+    EXPECT_TRUE(bs.try_write_lock(self, blks.back()));
+    bs.write_unlock(self, blks.back());
+  }
+  return blks;
+}
+
+constexpr std::uint64_t kVersion1 = std::uint64_t{1} << BlockStore::kVersionShift;
+
+TEST(RwLock, SoleReaderUpgradeOfWrittenBlockIsOneCas) {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto bs = BlockStore::create(self, small_cfg());
+    const DPtr p = written_blocks(*bs, self, 1)[0];
+    std::uint64_t word = 0;
+    EXPECT_TRUE(bs->try_read_lock(self, p, &word));
+    EXPECT_EQ(word, kVersion1) << "the FAA displaced the free version-1 word";
+    self.reset_counters();
+    EXPECT_TRUE(bs->try_upgrade_lock(self, p, word));
+    EXPECT_EQ(self.counters().atomics, 1u) << "the acquisition word's version is the bid";
+    EXPECT_EQ(bs->lock_word(self, p), kVersion1 | BlockStore::kWriteBit);
+    bs->write_unlock(self, p);
+  });
+}
+
+TEST(RwLock, ReadLockManyOnWrittenBlocksIsOneFaaRound) {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto bs = BlockStore::create(self, small_cfg());
+    const std::vector<DPtr> blks = written_blocks(*bs, self, 8);
+    self.reset_counters();
+    std::vector<std::uint64_t> words;
+    const auto got = bs->try_read_lock_many(self, blks, &words);
+    EXPECT_EQ(self.counters().atomics, 8u);
+    EXPECT_EQ(self.counters().flushes, 1u);
+    ASSERT_EQ(words.size(), blks.size());
+    for (std::size_t i = 0; i < blks.size(); ++i) {
+      EXPECT_EQ(got[i], 1);
+      EXPECT_EQ(words[i], kVersion1);
+      EXPECT_EQ(bs->lock_word(self, blks[i]), kVersion1 | 1);
+      bs->read_unlock(self, blks[i]);
+    }
+  });
+}
+
+TEST(RwLock, ReadLockManyWithdrawsFromWriteLockedWord) {
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto bs = BlockStore::create(self, small_cfg());
+    const std::vector<DPtr> blks = written_blocks(*bs, self, 3);
+    EXPECT_TRUE(bs->try_write_lock(self, blks[1], kVersion1));
+    const auto got = bs->try_read_lock_many(self, blks);
+    EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 0, 1}));
+    (void)self.flush_all();  // completes the withdrawal
+    EXPECT_EQ(bs->lock_word(self, blks[1]), kVersion1 | BlockStore::kWriteBit);
+    bs->write_unlock(self, blks[1]);
+    EXPECT_EQ(bs->lock_word(self, blks[1]), 2 * kVersion1);
+    bs->read_unlock(self, blks[0]);
+    bs->read_unlock(self, blks[2]);
   });
 }
 

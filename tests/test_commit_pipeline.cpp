@@ -68,6 +68,15 @@ TEST(VersionWrap, WriteUnlockRepairsCarryIntoWriteBit) {
     // The repaired word is a fully functional fresh word.
     EXPECT_TRUE(blocks.try_read_lock(self, blk));
     blocks.read_unlock(self, blk);
+
+    // A failed reader's increment, not yet withdrawn, rides through the
+    // unlock: the repair clears only the carried bit, and the withdrawal
+    // (an FAA(-1), like read_unlock) then lands on a zero count.
+    blocks.poke_lock_word(self, blk, BS::kVersionMask | BS::kWriteBit | 1);
+    blocks.write_unlock(self, blk);
+    EXPECT_EQ(blocks.lock_word(self, blk), 1u);
+    blocks.read_unlock(self, blk);
+    EXPECT_EQ(blocks.lock_word(self, blk), 0u);
   });
 }
 

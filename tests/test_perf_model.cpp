@@ -204,8 +204,8 @@ TEST(PerfModel, ReadLockedScanUsesOneAtomicPerVertex) {
     for (std::uint64_t i = 0; i < 8; ++i) vids.push_back(*r.translate_vertex_id(i));
     self.reset_counters();
     for (DPtr vid : vids) ASSERT_TRUE(r.associate_vertex(vid).ok());
-    // Uncontended read lock: one AGET + one CAS per vertex.
-    EXPECT_EQ(self.counters().atomics, 16u);
+    // Uncontended read lock on a written block: one FAA per vertex.
+    EXPECT_EQ(self.counters().atomics, 8u);
     (void)r.commit();
   });
 }

@@ -6,7 +6,9 @@ its table, and compares the tracked metrics against the "smoke" sections of
 the committed baseline files (BENCH_pr2.json / BENCH_pr3.json). A tracked
 metric that lands more than --threshold (default 15%) below its baseline
 fails the gate; the merged run report is written to --out for upload as a
-workflow artifact.
+workflow artifact. A bench that crashes (or prints no JSON) is recorded as a
+failure, the remaining benches still run and print, and the gate exits
+non-zero.
 
 All tracked metrics come from the simulated LogGP clock, so they are
 machine-independent; residual variance comes only from thread interleaving
@@ -217,19 +219,24 @@ BENCHES = [
 ]
 
 
+class BenchError(Exception):
+    """A bench that could not produce metrics (missing, crashed, no JSON).
+    The gate records it as a failure and goes on with the remaining benches."""
+
+
 def run_bench(build_dir, name):
     exe = pathlib.Path(build_dir) / name
     if not exe.exists():
-        sys.exit(f"error: bench binary not found: {exe}")
+        raise BenchError(f"bench binary not found: {exe}")
     env = dict(os.environ, BENCH_SMOKE="1")
     proc = subprocess.run([str(exe)], capture_output=True, text=True, env=env,
                           timeout=1800)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
-        sys.exit(f"error: {name} exited with {proc.returncode}")
+        raise BenchError(f"exited with {proc.returncode}")
     marker = proc.stdout.find("JSON:")
     if marker < 0:
-        sys.exit(f"error: {name} printed no JSON blob")
+        raise BenchError("printed no JSON blob")
     blob = proc.stdout[marker + len("JSON:"):]
     start = blob.find("{")
     depth = 0
@@ -240,7 +247,7 @@ def run_bench(build_dir, name):
             depth -= 1
             if depth == 0:
                 return json.loads(blob[start:i + 1])
-    sys.exit(f"error: unterminated JSON blob from {name}")
+    raise BenchError("printed an unterminated JSON blob")
 
 
 def write_step_summary(report, regressions):
@@ -260,6 +267,9 @@ def write_step_summary(report, regressions):
         "| --- | --- | ---: | ---: | ---: | --- |",
     ]
     for name, entry in report["benches"].items():
+        if "error" in entry:
+            lines.append(f"| {name} | - | - | - | - | :x: {entry['error']} |")
+            continue
         if "metrics" not in entry:  # --update-baselines run
             continue
         for key, row in entry["metrics"].items():
@@ -269,10 +279,79 @@ def write_step_summary(report, regressions):
                 f"| {row['ratio'] * 100:.1f}% | {status} |")
     lines.append("")
     lines.append("All tracked metrics within threshold." if not regressions
-                 else f"**{len(regressions)} metric(s) regressed.**")
+                 else f"**{len(regressions)} failure(s).**")
     lines.append("")
     with open(path, "a", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def gate_bench(bench, args, report, regressions):
+    """Run one bench and gate (or, with --update-baselines, record) its
+    tracked metrics; raises BenchError when the bench yields none."""
+    name = bench["bin"]
+    parsed = run_bench(args.build_dir, name)
+    metrics = bench["metrics"](parsed)
+    baseline_path = REPO / bench["baseline"]
+    baseline_doc = json.loads(baseline_path.read_text())
+
+    if args.update_baselines:
+        # Per-metric minimum over several runs: with higher-is-better
+        # metrics, a conservative baseline spends none of the threshold
+        # on interleaving noise while still catching real regressions.
+        for _ in range(max(args.baseline_runs - 1, 0)):
+            extra = bench["metrics"](run_bench(args.build_dir, name))
+            for key, val in extra.items():
+                metrics[key] = min(metrics[key], val)
+        smoke = baseline_doc.setdefault("smoke", {})
+        if "smoke_key" in bench:
+            smoke[bench["smoke_key"]] = metrics
+        elif name == "bench_pr2_async_oltp":
+            smoke["mixes"] = [
+                {"mix": row["mix"],
+                 "serial_qps": metrics[f"{row['mix']}/serial_qps"],
+                 "batched_qps": metrics[f"{row['mix']}/batched_qps"]}
+                for row in parsed["mixes"]
+            ]
+        else:
+            smoke.update(metrics)
+        baseline_path.write_text(json.dumps(baseline_doc, indent=2) + "\n")
+        print(f"{name}: baselines updated in {baseline_path.name} "
+              f"(min over {args.baseline_runs} runs)")
+        report["benches"][name] = {"run": metrics, "updated": True}
+        return
+
+    if "smoke" not in baseline_doc:
+        sys.exit(f"error: {baseline_path.name} has no smoke baselines; "
+                 "run with --update-baselines first")
+    if "smoke_key" in bench:
+        base = dict(baseline_doc["smoke"].get(bench["smoke_key"]) or {})
+        if not base:
+            sys.exit(f"error: {baseline_path.name} has no smoke baselines "
+                     f"for {bench['smoke_key']}; run --update-baselines")
+    else:
+        base = bench["baseline_metrics"](baseline_doc["smoke"])
+
+    rows = {}
+    rerun = None
+    for key, base_val in base.items():
+        val = metrics.get(key)
+        if val is None:
+            raise BenchError(f"run is missing tracked metric {key}")
+        if val < base_val * (1.0 - args.threshold) and rerun is None:
+            # One re-run absorbs interleaving noise; keep the better value.
+            rerun = bench["metrics"](run_bench(args.build_dir, name))
+        if rerun is not None:
+            val = max(val, rerun.get(key, val))
+        ratio = val / base_val if base_val else float("inf")
+        ok = val >= base_val * (1.0 - args.threshold)
+        rows[key] = {"run": val, "baseline": base_val,
+                     "ratio": round(ratio, 4), "ok": ok}
+        status = "ok " if ok else "REGRESSION"
+        print(f"{name:26s} {key:30s} {val:>14.1f} vs {base_val:>14.1f} "
+              f"({ratio * 100:6.1f}%)  {status}")
+        if not ok:
+            regressions.append(f"{name}: {key} {ratio * 100:.1f}% of baseline")
+    report["benches"][name] = {"metrics": rows, "json": parsed}
 
 
 def main():
@@ -296,76 +375,19 @@ def main():
 
     for bench in BENCHES:
         name = bench["bin"]
-        parsed = run_bench(args.build_dir, name)
-        metrics = bench["metrics"](parsed)
-        baseline_path = REPO / bench["baseline"]
-        baseline_doc = json.loads(baseline_path.read_text())
-
-        if args.update_baselines:
-            # Per-metric minimum over several runs: with higher-is-better
-            # metrics, a conservative baseline spends none of the threshold
-            # on interleaving noise while still catching real regressions.
-            for _ in range(max(args.baseline_runs - 1, 0)):
-                extra = bench["metrics"](run_bench(args.build_dir, name))
-                for key, val in extra.items():
-                    metrics[key] = min(metrics[key], val)
-            smoke = baseline_doc.setdefault("smoke", {})
-            if "smoke_key" in bench:
-                smoke[bench["smoke_key"]] = metrics
-            elif name == "bench_pr2_async_oltp":
-                smoke["mixes"] = [
-                    {"mix": row["mix"],
-                     "serial_qps": metrics[f"{row['mix']}/serial_qps"],
-                     "batched_qps": metrics[f"{row['mix']}/batched_qps"]}
-                    for row in parsed["mixes"]
-                ]
-            else:
-                smoke.update(metrics)
-            baseline_path.write_text(json.dumps(baseline_doc, indent=2) + "\n")
-            print(f"{name}: baselines updated in {baseline_path.name} "
-                  f"(min over {args.baseline_runs} runs)")
-            report["benches"][name] = {"run": metrics, "updated": True}
-            continue
-
-        if "smoke" not in baseline_doc:
-            sys.exit(f"error: {baseline_path.name} has no smoke baselines; "
-                     "run with --update-baselines first")
-        if "smoke_key" in bench:
-            base = dict(baseline_doc["smoke"].get(bench["smoke_key"]) or {})
-            if not base:
-                sys.exit(f"error: {baseline_path.name} has no smoke baselines "
-                         f"for {bench['smoke_key']}; run --update-baselines")
-        else:
-            base = bench["baseline_metrics"](baseline_doc["smoke"])
-
-        rows = {}
-        rerun = None
-        for key, base_val in base.items():
-            val = metrics.get(key)
-            if val is None:
-                sys.exit(f"error: {name} run is missing tracked metric {key}")
-            if val < base_val * (1.0 - args.threshold) and rerun is None:
-                # One re-run absorbs interleaving noise; keep the better value.
-                rerun = bench["metrics"](run_bench(args.build_dir, name))
-            if rerun is not None:
-                val = max(val, rerun.get(key, val))
-            ratio = val / base_val if base_val else float("inf")
-            ok = val >= base_val * (1.0 - args.threshold)
-            rows[key] = {"run": val, "baseline": base_val,
-                         "ratio": round(ratio, 4), "ok": ok}
-            status = "ok " if ok else "REGRESSION"
-            print(f"{name:26s} {key:30s} {val:>14.1f} vs {base_val:>14.1f} "
-                  f"({ratio * 100:6.1f}%)  {status}")
-            if not ok:
-                regressions.append(f"{name}: {key} {ratio * 100:.1f}% of baseline")
-        report["benches"][name] = {"metrics": rows, "json": parsed}
+        try:
+            gate_bench(bench, args, report, regressions)
+        except BenchError as e:
+            print(f"{name:26s} FAILED: {e}")
+            report["benches"][name] = {"error": str(e)}
+            regressions.append(f"{name}: {e}")
 
     pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     write_step_summary(report, regressions)
     print(f"\nreport written to {args.out}")
     if regressions:
-        print("\nbench regressions (> {:.0f}% below baseline):".format(
-            args.threshold * 100))
+        print("\nbench gate failures (crashes, or > {:.0f}% below baseline):"
+              .format(args.threshold * 100))
         for r in regressions:
             print(f"  {r}")
         return 1
