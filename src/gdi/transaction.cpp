@@ -320,11 +320,9 @@ void Transaction::populate_block_cache(std::span<const DPtr> ids,
     auto& slot = blk_cache_[need[j].raw()];
     slot.assign(scratch.data() + j * B, scratch.data() + (j + 1) * B);
     typename S::View view(slot);
-    if (!view.valid()) continue;
+    // Chase continuation addresses only from a header that can be a holder.
+    if (!well_formed<S>(view, B)) continue;
     const std::uint32_t nb = view.num_blocks();
-    // Defensive clamp: never chase addresses beyond the block-address table
-    // that fits in the primary block.
-    if (nb > S::max_blocks(view, B)) continue;
     for (std::uint32_t i = 1; i < nb; ++i) {
       const DPtr blk = view.block_addr(i);
       if (blk.is_null()) continue;
@@ -718,7 +716,7 @@ Status Transaction::fetch_holder(DPtr id, S& st) {
   // One GET suffices for a one-block holder -- the BGDL design goal.
   st.buf.resize(B);
   cache_read_block(id, st.buf.data());
-  if (!st.view.valid()) return Status::kNotFound;
+  if (!well_formed<S>(st.view, B)) return Status::kNotFound;
   const std::size_t total = S::required_size(st.view);
   st.buf.resize(total);
   // Continuation blocks: cache-served or fetched as one overlapped batch.
@@ -728,6 +726,16 @@ Status Transaction::fetch_holder(DPtr id, S& st) {
   st.view.reset_dirty();
   if constexpr (!S::kIsEdge) snapshot_index_match(st);
   return Status::kOk;
+}
+
+template <class S>
+bool Transaction::well_formed(const typename S::View& v, std::size_t block_size) {
+  if (!v.valid() || v.prop_used() > v.prop_capacity()) return false;
+  if constexpr (!S::kIsEdge)
+    if (v.edge_slots() > v.edge_capacity()) return false;
+  const std::uint32_t nb = v.num_blocks();
+  return nb >= 1 && nb <= S::max_blocks(v, block_size) &&
+         S::required_size(v) <= std::uint64_t{nb} * block_size;
 }
 
 void Transaction::snapshot_index_match(VertexState& st) {

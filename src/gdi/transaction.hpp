@@ -297,6 +297,15 @@ class Transaction {
     bool deleted = false;
   };
 
+  /// Does a primary block's header describe a holder it can be? Counts
+  /// within their capacities, 1 <= num_blocks <= what the block can address,
+  /// and the bytes the header accounts for within num_blocks blocks. A stale
+  /// DPtr can land on a reused block whose valid bit is set by chance; this
+  /// check turns such bytes into kNotFound instead of a walk driven by
+  /// arbitrary capacities and block addresses.
+  template <class S>
+  [[nodiscard]] static bool well_formed(const typename S::View& v, std::size_t block_size);
+
   template <class S>
   using HolderMap = std::unordered_map<std::uint64_t, std::unique_ptr<S>>;
   /// The per-transaction states of one holder kind (vcache_ / ecache_).

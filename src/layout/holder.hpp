@@ -76,12 +76,14 @@ class VertexView {
   static void init(std::vector<std::byte>& buf, std::uint64_t app_id,
                    std::size_t total_size, std::uint32_t table_cap);
 
-  /// Total holder size for a given capacity, 8-byte aligned.
+  /// Total holder size for a given capacity, 8-byte aligned. Summed in 64
+  /// bits: header words read from a reused block can be arbitrary, and a
+  /// 32-bit sum of them can wrap to a small size.
   [[nodiscard]] static std::size_t required_size(std::uint32_t table_cap,
                                                  std::uint32_t edge_slots,
                                                  std::uint32_t prop_bytes) {
-    return kHeaderSize + table_cap * 8 + edge_slots * kEdgeRecSize +
-           ((prop_bytes + 7) & ~7u);
+    return kHeaderSize + std::size_t{table_cap} * 8 + edge_slots * kEdgeRecSize +
+           ((std::size_t{prop_bytes} + 7) & ~std::size_t{7});
   }
 
   // --- header ---------------------------------------------------------------
@@ -97,7 +99,7 @@ class VertexView {
   [[nodiscard]] std::uint32_t table_capacity() const { return get32(32); }
   /// Start of the lightweight-edge region.
   [[nodiscard]] std::size_t edge_base() const {
-    return kBlockTableOff + table_capacity() * 8;
+    return kBlockTableOff + std::size_t{table_capacity()} * 8;
   }
 
   [[nodiscard]] DPtr block_addr(std::size_t i) const {
@@ -151,6 +153,7 @@ class VertexView {
     while (off + 8 <= prop_used()) {
       const std::uint32_t id = get32(base + off);
       const std::uint32_t len = get32(base + off + 4);
+      if (len > prop_used() - off - 8) break;  // torn or foreign bytes
       if (id != kEntryFree)
         f(id, std::span<const std::byte>(buf_.data() + base + off + 8, len));
       off += entry_stride(len);
@@ -263,7 +266,7 @@ class EdgeView {
   static void init(std::vector<std::byte>& buf, DPtr origin, DPtr target,
                    std::size_t total_size);
   [[nodiscard]] static std::size_t required_size(std::uint32_t prop_bytes) {
-    return kPropBase + ((prop_bytes + 7) & ~7u);
+    return kPropBase + ((std::size_t{prop_bytes} + 7) & ~std::size_t{7});
   }
 
   [[nodiscard]] DPtr origin() const { return DPtr{get64(0)}; }
@@ -290,6 +293,7 @@ class EdgeView {
     while (off + 8 <= prop_used()) {
       const std::uint32_t id = get32(kPropBase + off);
       const std::uint32_t len = get32(kPropBase + off + 4);
+      if (len > prop_used() - off - 8) break;  // torn or foreign bytes
       if (id != kEntryFree)
         f(id, std::span<const std::byte>(buf_.data() + kPropBase + off + 8, len));
       off += 8 + ((len + 7) & ~7u);

@@ -193,6 +193,7 @@ bool NetClient::poll_frames(std::vector<server::Reply>* out, int timeout_ms,
   (void)flush_stash_();  // nothing else coming: release a reorder-held frame
   const double deadline = now_ms() + timeout_ms;
   bool waited = false;
+  bool polled = false;  // a timeout under 1 ms still reads the socket once
   for (;;) {
     // Decode everything already buffered.
     for (;;) {
@@ -225,8 +226,9 @@ bool NetClient::poll_frames(std::vector<server::Reply>* out, int timeout_ms,
       return false;
     }
     if (waited) return true;
-    const int remain = static_cast<int>(deadline - now_ms());
-    if (remain <= 0) return true;  // silence; connection still fine
+    const int remain = std::max(0, static_cast<int>(deadline - now_ms()));
+    if (remain == 0 && polled) return true;  // silence; connection still fine
+    polled = true;
     pollfd pf{fd_, POLLIN, 0};
     const int pr = ::poll(&pf, 1, std::min(remain, 50));
     if (pr < 0 && errno != EINTR) {

@@ -86,9 +86,11 @@ class NetClient {
   /// Send raw bytes verbatim (tests craft malformed frames with this).
   bool send_raw(const void* data, std::size_t n);
 
-  /// Read frames until `timeout_ms` of silence or the buffer empties.
-  /// Replies are appended to `*out`. Returns false when the connection is
-  /// over (EOF, error, or a Bye -- reason in *bye if non-null).
+  /// Read frames until `timeout_ms` of silence or the buffer empties; the
+  /// socket is read at least once, so a timeout of 0 collects what the
+  /// kernel already holds. Replies are appended to `*out`. Returns false
+  /// when the connection is over (EOF, error, or a Bye -- reason in *bye if
+  /// non-null).
   bool poll_frames(std::vector<server::Reply>* out, int timeout_ms,
                    ByeReason* bye = nullptr);
 

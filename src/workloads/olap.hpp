@@ -1,13 +1,21 @@
 // OLAP graph-analytics workloads over GDI (paper Section 4, Listing 2;
 // evaluation Section 6.5): BFS, k-hop, PageRank, CDLP, WCC, LCC.
 //
-// All algorithms follow the paper's recipe: a *collective transaction* in
-// which every rank scans its local vertices (via the vertex index or by
-// owner partition), reads graph structure through GDI handles, and exchanges
-// algorithm state with MPI-style collectives. Algorithm state (levels, ranks,
-// component ids) lives in per-rank arrays indexed by application vertex ID,
-// which is how Graphalytics-class systems implement these kernels; the graph
-// *structure* is always read through the GDI storage layer.
+// All algorithms follow the paper's recipe: a *collective transaction* over
+// the owner partition that reads graph structure through GDI handles and
+// exchanges algorithm state with MPI-style collectives. Algorithm state
+// (levels, ranks, component ids) lives in per-rank arrays indexed by
+// application vertex ID, which is how Graphalytics-class systems implement
+// these kernels; the graph *structure* is always read through the GDI
+// storage layer.
+//
+// Round-robin placement leaves the hubs of a scale-free graph on few ranks,
+// so the kernels whose cost follows the edges do not bind work to owners.
+// BFS and k-hop allgather each level's frontier edge load, and an
+// over-loaded rank hands its heaviest frontier vertices to under-loaded
+// ranks, which read those holders one-sidedly; every neighbor is pushed to
+// its owner at most once per traversal. PageRank iterates equal contiguous
+// slices of the global out-edge list instead of each rank's own out-edges.
 //
 // Every routine returns this rank's shard of the result (index i holds the
 // value of vertex id == rank + i * nranks) plus the simulated runtime.

@@ -451,6 +451,46 @@ TEST(NetTimeouts, HandshakeAndIdleDeadlinesClose) {
   });
 }
 
+TEST(NetTimeouts, ZeroTimeoutPollReadsBufferedReply) {
+  // poll_frames(..., 0) must read what the kernel already holds: a reply
+  // sitting in the socket buffer is returned without a wait. Repeated zero
+  // polls (bounded by a deadline) cover a reply still in flight.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, net_cfg());
+    const std::uint32_t pt = load_vertices(db, self, 4, 7);
+    net::Listener* L = db->listener(self);
+    EXPECT_EQ(L->start(), Status::kOk);
+    const std::uint16_t port = L->port();
+
+    std::vector<Reply> got;
+    int zero_polls = 0;
+    std::thread client([&] {
+      NetClient cl(client_cfg(port, 1));
+      if (cl.connect_handshake() == Status::kOk &&
+          cl.send_request(make_req(OpKind::kGetProps, 2, pt, 0, 0, 1)) == Status::kOk) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (got.empty() && std::chrono::steady_clock::now() < deadline) {
+          ++zero_polls;
+          if (!cl.poll_frames(&got, 0)) break;
+        }
+        cl.finish();
+      }
+      L->request_stop();
+    });
+    L->serve(db, self);
+    client.join();
+
+    EXPECT_EQ(got.size(), 1u) << "after " << zero_polls << " zero-timeout polls";
+    if (!got.empty()) {
+      EXPECT_EQ(got[0].client_tag, 1u);
+      EXPECT_EQ(got[0].status, Status::kOk);
+      EXPECT_EQ(got[0].v0, 7);
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Overload: typed shed + shared retry policy completes the stream
 // ---------------------------------------------------------------------------

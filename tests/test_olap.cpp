@@ -4,6 +4,8 @@
 // how the graph is distributed.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "generator/kronecker.hpp"
 #include "workloads/gnn.hpp"
 #include "workloads/graph500.hpp"
@@ -31,8 +33,7 @@ LpgConfig graph_cfg(int scale, int ef, std::uint64_t seed = 5) {
   return cfg;
 }
 
-std::shared_ptr<Database> load(rma::Rank& self, const KroneckerGenerator& g,
-                               std::size_t block_size = 512) {
+DatabaseConfig db_cfg(rma::Rank& self, const KroneckerGenerator& g, std::size_t block_size) {
   DatabaseConfig c;
   c.block.block_size = block_size;
   const auto per_rank =
@@ -41,7 +42,12 @@ std::shared_ptr<Database> load(rma::Rank& self, const KroneckerGenerator& g,
   c.dht.entries_per_rank = per_rank + 64;
   c.dht.buckets_per_rank = 512;
   c.index_capacity_per_rank = per_rank + 64;
-  auto db = Database::create(self, c);
+  return c;
+}
+
+std::shared_ptr<Database> load(rma::Rank& self, const KroneckerGenerator& g,
+                               std::size_t block_size = 512) {
+  auto db = Database::create(self, db_cfg(self, g, block_size));
   const auto slice = g.generate_local(self);
   BulkLoader loader(db, self);
   auto stats = loader.load(slice.vertices, slice.edges);
@@ -66,7 +72,8 @@ std::vector<T> merge_shards(rma::Rank& self, std::uint64_t n,
 }
 
 class OlapParam : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Ranks, OlapParam, ::testing::Values(1, 2, 4));
+// P=3 cuts the edge list into uneven slices and the ids into uneven shards.
+INSTANTIATE_TEST_SUITE_P(Ranks, OlapParam, ::testing::Values(1, 2, 3, 4));
 
 TEST_P(OlapParam, BfsMatchesReference) {
   const int P = GetParam();
@@ -237,6 +244,106 @@ TEST_P(OlapParam, PagerankUnaffectedByHeavyEdges) {
     auto mine = merge_shards(self, cfg.num_vertices(), res.values);
     for (std::uint64_t v = 0; v < cfg.num_vertices(); ++v)
       EXPECT_NEAR(mine[v], expect[v], 1e-9) << v;
+  });
+}
+
+/// Collective: every stored edge record as (src, dst, is-out), read back
+/// through plain transactions.
+std::vector<std::array<std::uint64_t, 3>> stored_records(const std::shared_ptr<Database>& db,
+                                                         rma::Rank& self, std::uint64_t n) {
+  std::vector<std::array<std::uint64_t, 3>> mine;
+  Transaction txn(db, self, TxnMode::kReadShared, TxnScope::kCollective);
+  for (std::uint64_t v = static_cast<std::uint64_t>(self.id()); v < n;
+       v += static_cast<std::uint64_t>(self.nranks())) {
+    auto vh = txn.find_vertex(v);
+    if (!vh.ok()) continue;
+    auto edges = txn.edges_of(*vh, DirFilter::kAll);
+    if (!edges.ok()) continue;
+    for (const auto& e : *edges) {
+      auto dst = txn.peek_app_id(e.neighbor);
+      EXPECT_TRUE(dst.ok());
+      if (dst.ok()) mine.push_back({v, *dst, e.dir == layout::Dir::kOut ? 1u : 0u});
+    }
+  }
+  EXPECT_EQ(txn.commit(), Status::kOk);
+  return self.allgatherv(mine);
+}
+
+TEST(Olap, SkewedBfsHandsOffHubs) {
+  // Round-robin placement puts the Kronecker hubs (ids with many zero bits)
+  // on rank 0, which then holds far more than its quarter of the edge
+  // records. BFS must hand some of its frontier's hubs to the other ranks,
+  // which read those holders one-sidedly (remote ops), and still produce
+  // the reference levels.
+  const auto cfg = graph_cfg(10, 16);
+  KroneckerGenerator g(cfg, {}, {});
+  const std::uint64_t n = cfg.num_vertices();
+  rma::Runtime rt(4, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, db_cfg(self, g, 512));
+    const auto slice = g.generate_local(self);
+    BulkLoader loader(db, self);
+    EXPECT_TRUE(loader.load(slice.vertices, slice.edges).ok());
+    std::vector<BulkEdge> all;
+    std::uint64_t on_rank0 = 0;
+    for (const auto& [src, dst, is_out] : stored_records(db, self, n)) {
+      on_rank0 += src % 4 == 0 ? 1 : 0;
+      all.push_back(BulkEdge{.src = src, .dst = dst});
+    }
+    EXPECT_GT(3 * on_rank0, all.size()) << "premise: rank 0 holds over a third of the records";
+    const auto csr = ref::Csr::build(n, all, false);
+    for (std::uint64_t root : {std::uint64_t{0}, std::uint64_t{5}, std::uint64_t{123}}) {
+      // A 0-hop walk only translates the root: the DHT's share of the ops.
+      const auto translate_only = work::k_hop(db, self, n, root, 0).remote_ops;
+      auto res = work::bfs(db, self, n, root);
+      EXPECT_GT(res.remote_ops, translate_only)
+          << "root " << root << ": no frontier was handed off";
+      EXPECT_EQ(merge_shards(self, n, res.values), ref::bfs_levels(csr, root))
+          << "root " << root;
+    }
+  });
+}
+
+class OlapCapped : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Ranks, OlapCapped, ::testing::Values(1, 3, 4));
+
+TEST_P(OlapCapped, KernelsFollowStoredRecords) {
+  // Small blocks cap the holder degree, so the loader drops records and the
+  // stored graph is no longer symmetric. The kernels follow the stored
+  // records: the reference runs on the graph read back, not the generated one.
+  const int P = GetParam();
+  const auto cfg = graph_cfg(9, 16);
+  KroneckerGenerator g(cfg, {}, {});
+  const std::uint64_t n = cfg.num_vertices();
+  rma::Runtime rt(P);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, db_cfg(self, g, 128));
+    const auto slice = g.generate_local(self);
+    BulkLoader loader(db, self);
+    auto stats = loader.load(slice.vertices, slice.edges);
+    EXPECT_TRUE(stats.ok());
+    const std::uint64_t skipped = self.allreduce_sum(stats.ok() ? stats->edges_skipped : 0);
+    EXPECT_GT(skipped, 0u) << "premise: the degree cap drops records";
+    std::vector<BulkEdge> all, out;
+    for (const auto& [src, dst, is_out] : stored_records(db, self, n)) {
+      all.push_back(BulkEdge{.src = src, .dst = dst});
+      if (is_out) out.push_back(all.back());
+    }
+    const auto undirected = ref::Csr::build(n, all, false);
+    for (std::uint64_t root : {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{300}}) {
+      auto b = work::bfs(db, self, n, root);
+      EXPECT_EQ(merge_shards(self, n, b.values), ref::bfs_levels(undirected, root))
+          << "root " << root;
+      for (int k : {1, 3}) {
+        auto h = work::k_hop(db, self, n, root, k);
+        EXPECT_EQ(h.values[0], ref::k_hop_count(undirected, root, k))
+            << "root " << root << " k=" << k;
+      }
+    }
+    const auto expect = ref::pagerank(ref::Csr::build(n, out, false), 10, 0.85);
+    auto pr = work::pagerank(db, self, n, 10, 0.85);
+    const auto got = merge_shards(self, n, pr.values);
+    for (std::uint64_t v = 0; v < n; ++v) EXPECT_NEAR(got[v], expect[v], 1e-9) << v;
   });
 }
 

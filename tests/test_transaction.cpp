@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <type_traits>
 
@@ -676,6 +677,63 @@ TEST(Txn, BlocksReclaimedAfterDelete) {
     }
     EXPECT_EQ(db->blocks().allocated_count(self, 0), before)
         << "all holder blocks must be recycled";
+  });
+}
+
+TEST(Txn, MalformedBlockBehindStaleDptrIsNotFound) {
+  // A stale DPtr can land on a reused block whose valid bit is set by chance;
+  // its other header words are then arbitrary. The holder fetch and the
+  // batched block-cache fill must both read such a header as "no holder"
+  // instead of walking it: here capacities whose 32-bit byte sum wraps to a
+  // small size (0x20000000 * 8 and 0xFFFFFFFC + 7 both wrap to 0), a block
+  // count whose continuation addresses are wild, and prop_used past
+  // prop_capacity.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db());
+    const auto m = make_meta(self, db);
+    // With an index every fetched vertex holder has its labels evaluated.
+    (void)db->create_index(self, IndexDef{{m.person}, {}});
+    std::vector<DPtr> vids;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      for (std::uint64_t id = 1; id <= 4; ++id) {
+        auto v = *w.create_vertex(id);
+        EXPECT_EQ(w.add_label(v, m.person), Status::kOk);
+        vids.push_back(v.vid);
+      }
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    const std::size_t B = db->blocks().block_size();
+    auto plant = [&](DPtr blk, std::uint32_t num_blocks, std::uint32_t table_cap,
+                     std::uint32_t prop_cap, std::uint32_t prop_used) {
+      std::vector<std::byte> raw(B, std::byte{0xAB});  // wild block addresses
+      auto put32 = [&](std::size_t off, std::uint32_t x) {
+        std::memcpy(raw.data() + off, &x, sizeof x);
+      };
+      put32(8, 1);  // valid
+      put32(12, num_blocks);
+      put32(16, 0);  // edge slots
+      put32(20, 0);  // edge capacity
+      put32(24, prop_used);
+      put32(28, prop_cap);
+      put32(32, table_cap);
+      db->blocks().write_block(self, blk, raw.data());
+    };
+    plant(vids[0], 1, 0x20000000u, 0xFFFFFFFCu, 0x100);
+    plant(vids[1], 3, 0x20000000u, 0xFFFFFFFCu, 0x100);
+    plant(vids[2], 1, 4, 16, 64);
+    const std::vector<DPtr> planted(vids.begin(), vids.begin() + 3);
+    for (TxnMode mode : {TxnMode::kReadShared, TxnMode::kRead}) {
+      Transaction r(db, self, mode);
+      r.prefetch_vertices(vids);  // the batched fill: >1 holder, cache on
+      for (DPtr v : planted)
+        EXPECT_EQ(r.associate_vertex(v).status(), Status::kNotFound) << v.to_string();
+      auto ok = r.associate_vertex(vids[3]);
+      EXPECT_TRUE(ok.ok());
+      if (ok.ok()) EXPECT_EQ(r.labels_of(*ok)->size(), 1u);
+      EXPECT_EQ(r.commit(), Status::kOk);
+    }
   });
 }
 
