@@ -68,16 +68,32 @@ std::uint64_t BlockStore::allocated_count(rma::Rank& self, std::uint32_t target)
   return system_.atomic_get_u64(self, target, kCountOffset);
 }
 
-bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, std::uint64_t* word_out) {
+bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, std::uint64_t* word_out,
+                               void* dst) {
   const std::uint64_t off = lock_offset(block_index(blk));
-  const std::uint64_t prev = system_.faa_u64(self, blk.rank(), off, 1);
+  std::uint64_t prev = 0;
+  const bool overlap = dst != nullptr && blk.rank() != static_cast<std::uint32_t>(self.id());
+  if (overlap) {
+    (void)system_.faa_u64_nb(self, blk.rank(), off, 1, &prev);
+    post_locked_get(self, blk, prev, dst);
+    (void)self.flush_all();
+  } else {
+    prev = system_.faa_u64(self, blk.rank(), off, 1);
+  }
   if (write_locked(prev)) {
     // Visible writer: withdraw the increment and give up at once.
     (void)system_.faa_u64_nb(self, blk.rank(), off, -1);
     return false;
   }
+  if (dst != nullptr && !overlap) read_block(self, blk, dst);
   if (word_out != nullptr) *word_out = prev;
   return true;
+}
+
+void BlockStore::post_locked_get(rma::Rank& self, DPtr blk, std::uint64_t faa_word,
+                                 void* dst) {
+  if (write_locked(faa_word)) (void)data_.get_nb_discard(self, cfg_.block_size, blk.rank());
+  else (void)data_.get_nb(self, dst, cfg_.block_size, blk);
 }
 
 void BlockStore::read_unlock(rma::Rank& self, DPtr blk) {
@@ -91,11 +107,14 @@ void BlockStore::read_unlock_nb(rma::Rank& self, DPtr blk) {
 }
 
 std::vector<std::uint8_t> BlockStore::try_read_lock_many(
-    rma::Rank& self, std::span<const DPtr> blks, std::vector<std::uint64_t>* words_out) {
+    rma::Rank& self, std::span<const DPtr> blks, std::vector<std::uint64_t>* words_out,
+    std::span<void* const> dsts) {
+  assert(dsts.empty() || dsts.size() == blks.size());
   std::vector<std::uint64_t> prev(blks.size(), 0);
   for (std::size_t i = 0; i < blks.size(); ++i) {
     const DPtr b = blks[i];
     (void)system_.faa_u64_nb(self, b.rank(), lock_offset(block_index(b)), 1, &prev[i]);
+    if (!dsts.empty() && dsts[i] != nullptr) post_locked_get(self, b, prev[i], dsts[i]);
   }
   if (!blks.empty()) (void)self.flush_all();
   std::vector<std::uint8_t> got(blks.size(), 0);

@@ -120,12 +120,27 @@ class BlockStore {
   // 0; a free word at another version costs a second CAS); upgraders bid on
   // their acquisition word's version, which cannot move while they hold a
   // read lock.
+  //
+  // A read lock may carry its block's GET (`dst`): the GET is posted behind
+  // the FAA to the same target in the same round. This relies on the
+  // ordering every one-sided layer here already assumes -- ops one rank
+  // posts to one target take effect in issue order (the commit pipeline's
+  // PUT -> unlock FAA is the writer-side twin). So a granted word's GET
+  // lands while its read lock is held and reads exactly the bytes the FAA's
+  // version bits name, as a GET issued after the lock round would:
+  // shared-cache fills still stamp them with the FAA's word. Only a granted
+  // word's bytes are copied; a denied word's GET is charged (the NIC posted
+  // it) but its bytes, which a writer may be changing, are dropped.
 
   /// One FAA(+1). On success, *word_out (if non-null) receives the word the
   /// FAA displaced -- its version bits date the acquired read lock. A
-  /// visible writer makes the attempt withdraw and fail at once.
+  /// visible writer makes the attempt withdraw and fail at once. A non-null
+  /// `dst` also fetches the block into it on success: for a remote block the
+  /// GET joins the FAA in one flushed round; a local block stays blocking
+  /// (a local FAA then GET undercuts one overlapped round plus its fence).
   [[nodiscard]] bool try_read_lock(rma::Rank& self, DPtr blk,
-                                   std::uint64_t* word_out = nullptr);
+                                   std::uint64_t* word_out = nullptr,
+                                   void* dst = nullptr);
   void read_unlock(rma::Rank& self, DPtr blk);
   /// `version_hint` (masked version bits, e.g. a shared-cache entry's stamp)
   /// is the version the CAS bids on instead of the fresh-block 0, saving the
@@ -137,10 +152,13 @@ class BlockStore {
   /// Batched try_read_lock: one nonblocking FAA(+1) per word and one
   /// flush_all. result[i] == 1 iff blks[i] was acquired; withdrawals complete
   /// at the caller's next flush. words_out (if non-null) receives every
-  /// displaced word.
+  /// displaced word. `dsts` is empty or one per word: a non-null dsts[i]
+  /// posts blks[i]'s block GET right behind its FAA, in the same round, and
+  /// receives the bytes iff the word was acquired (untouched otherwise).
   [[nodiscard]] std::vector<std::uint8_t> try_read_lock_many(
       rma::Rank& self, std::span<const DPtr> blks,
-      std::vector<std::uint64_t>* words_out = nullptr);
+      std::vector<std::uint64_t>* words_out = nullptr,
+      std::span<void* const> dsts = {});
   /// Batched write locks: one nonblocking CAS per word per round, each round
   /// completed by one flush_all; contended words retry up to `attempts`
   /// rounds. `hints` (empty, or one per block) carries try_write_lock's
@@ -240,6 +258,11 @@ class BlockStore {
   }
 
  private:
+  /// Post the block GET that rides a read-lock FAA which displaced
+  /// `faa_word` (the FAA executes at issue in-process; a real backend would
+  /// drop a denied word's bytes at completion instead).
+  void post_locked_get(rma::Rank& self, DPtr blk, std::uint64_t faa_word, void* dst);
+
   // System-window layout per rank.
   static constexpr std::uint64_t kHeadOffset = 0;    // tagged free-list head
   static constexpr std::uint64_t kCountOffset = 8;   // allocated-block counter

@@ -96,11 +96,15 @@ const cache::SharedBlockCache::Entry* Transaction::scache_lookup(
   return nullptr;
 }
 
-void Transaction::cache_read_block(DPtr blk, void* dst) {
+void Transaction::cache_read_block(DPtr blk, void* dst, const std::byte* fetched) {
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
+  const auto read = [&] {
+    if (fetched != nullptr) std::memcpy(dst, fetched, B);
+    else blocks.read_block(self_, blk, dst);
+  };
   if (!cache_enabled()) {
-    blocks.read_block(self_, blk, dst);
+    read();
     return;
   }
   auto it = blk_cache_.find(blk.raw());
@@ -109,7 +113,7 @@ void Transaction::cache_read_block(DPtr blk, void* dst) {
     self_.counters().cache_hits += 1;
     return;
   }
-  blocks.read_block(self_, blk, dst);
+  read();
   self_.counters().cache_misses += 1;
   const auto* bytes = static_cast<const std::byte*>(dst);
   blk_cache_.emplace(blk.raw(), std::vector<std::byte>(bytes, bytes + B));
@@ -284,30 +288,35 @@ void Transaction::prefetch_edges(std::span<const DPtr> eids) {
 }
 
 template <class S>
-void Transaction::populate_block_cache(std::span<const DPtr> ids,
-                                       std::unordered_set<std::uint64_t>* tainted) {
-  if (!active_ || failed_) return;
-  if (!cache_enabled() || !batching_enabled()) return;
+bool Transaction::populate_block_cache(std::span<const DPtr> ids,
+                                       std::unordered_set<std::uint64_t>* tainted,
+                                       std::span<const std::byte* const> primed) {
+  assert(primed.empty() || primed.size() == ids.size());
+  if (!active_ || failed_) return false;
+  if (!cache_enabled() || !batching_enabled()) return false;
 
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
   const auto& states = holders<S>();
   std::vector<DPtr> need;
-  for (DPtr id : ids) {
+  std::vector<const std::byte*> src;  ///< per need: its primed primary or null
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const DPtr id = ids[i];
     if (id.is_null()) continue;
     if (states.contains(id.raw()) || blk_cache_.contains(id.raw())) continue;
     // Reserve the slot so duplicates within `ids` are fetched once.
     blk_cache_.emplace(id.raw(), std::vector<std::byte>{});
     need.push_back(id);
+    src.push_back(primed.empty() ? nullptr : primed[i]);
   }
-  if (need.empty()) return;
+  if (need.empty()) return true;
 
-  // Round 1: all primary blocks, one overlapped batch.
+  // Round 1: every primary block not yet fetched, one overlapped batch.
   std::vector<std::byte> scratch(need.size() * B);
   std::vector<block::BlockStore::BlockReadOp> ops;
   ops.reserve(need.size());
   for (std::size_t j = 0; j < need.size(); ++j)
-    ops.push_back({need[j], scratch.data() + j * B});
+    if (src[j] == nullptr) ops.push_back({need[j], scratch.data() + j * B});
   blocks.read_blocks(self_, ops);
   self_.counters().cache_misses += need.size();
 
@@ -318,7 +327,8 @@ void Transaction::populate_block_cache(std::span<const DPtr> ids,
   std::vector<std::vector<std::byte>> tail_bufs;
   for (std::size_t j = 0; j < need.size(); ++j) {
     auto& slot = blk_cache_[need[j].raw()];
-    slot.assign(scratch.data() + j * B, scratch.data() + (j + 1) * B);
+    const std::byte* primary = src[j] != nullptr ? src[j] : scratch.data() + j * B;
+    slot.assign(primary, primary + B);
     typename S::View view(slot);
     // Chase continuation addresses only from a header that can be a holder.
     if (!well_formed<S>(view, B)) continue;
@@ -338,7 +348,7 @@ void Transaction::populate_block_cache(std::span<const DPtr> ids,
       tail_blks.push_back(blk);
     }
   }
-  if (tail_blks.empty()) return;
+  if (tail_blks.empty()) return true;
   tail_bufs.resize(tail_blks.size(), std::vector<std::byte>(B));
   tail_ops.reserve(tail_blks.size());
   for (std::size_t j = 0; j < tail_blks.size(); ++j)
@@ -347,6 +357,7 @@ void Transaction::populate_block_cache(std::span<const DPtr> ids,
   self_.counters().cache_misses += tail_blks.size();
   for (std::size_t j = 0; j < tail_blks.size(); ++j)
     blk_cache_[tail_blks[j].raw()] = std::move(tail_bufs[j]);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -380,6 +391,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     bool have_pre = false;
     bool cached = false;         ///< materialized from the shared cache
     bool fill_fresh = false;     ///< kReadShared: bytes will come off the wire
+    const std::byte* primary = nullptr;  ///< primary block the read lock's round fetched
     Status st = Status::kOk;
   };
   std::vector<Item> items;
@@ -487,7 +499,12 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   // round). Singleton batches use the blocking word ops -- same semantics, no
   // flush overhead. The word each read lock's FAA observed is kept: its
   // version bits date the lock, which is exactly what shared-cache
-  // validation and a later upgrade need (no extra op).
+  // validation and a later upgrade need (no extra op). With batching on, a
+  // read lock whose holder has neither a per-transaction block nor a
+  // shared-cache entry to validate carries its primary GET in its own round
+  // (BlockStore::try_read_lock_many's dsts): Phase 2 then fetches only
+  // continuation blocks for it.
+  std::vector<std::byte> primed;  ///< backs the Items' `primary` bytes
   if (mode_ == TxnMode::kReadShared) {
     for (auto& it : items) {
       if (!it.write) continue;
@@ -510,8 +527,23 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       const auto* e = scache() != nullptr ? scache()->find(id) : nullptr;
       return e != nullptr ? e->version : 0;
     };
-    auto lock_serial = [&](Item& it) {
-      if (!it.write) return blocks.try_read_lock(self_, it.id, &it.word);
+    std::vector<void*> dst_of(items.size(), nullptr);
+    if (batching_enabled()) {
+      const auto needs_bytes = [&](DPtr id) {
+        return !blk_cache_.contains(id.raw()) &&
+               (scache() == nullptr || scache()->find(id) == nullptr);
+      };
+      const std::size_t B = blocks.block_size();
+      std::size_t n = 0;
+      for (std::size_t j : read_idx) n += needs_bytes(items[j].id) ? 1 : 0;
+      primed.resize(n * B);
+      n = 0;
+      for (std::size_t j : read_idx)
+        if (needs_bytes(items[j].id)) dst_of[j] = primed.data() + (n++) * B;
+    }
+    auto lock_serial = [&](std::size_t j) {
+      Item& it = items[j];
+      if (!it.write) return blocks.try_read_lock(self_, it.id, &it.word, dst_of[j]);
       bool got = false;
       const std::uint64_t hint = hint_of(it.id);
       for (int a = 0; a < attempts && !got; ++a)
@@ -525,10 +557,15 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     std::vector<std::uint64_t> words_r;
     if (batch_locks) {
       std::vector<DPtr> rv;
+      std::vector<void*> rdst;
       std::vector<DPtr> wv;
       rv.reserve(read_idx.size());
+      rdst.reserve(read_idx.size());
       wv.reserve(write_idx.size());
-      for (std::size_t j : read_idx) rv.push_back(items[j].id);
+      for (std::size_t j : read_idx) {
+        rv.push_back(items[j].id);
+        rdst.push_back(dst_of[j]);
+      }
       for (std::size_t j : write_idx) wv.push_back(items[j].id);
       // Write bids carry the same hints the serial path uses (empty hints =
       // unhinted, identical ops).
@@ -537,7 +574,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
         hints_w.reserve(wv.size());
         for (DPtr v : wv) hints_w.push_back(hint_of(v));
       }
-      if (!rv.empty()) got_r = blocks.try_read_lock_many(self_, rv, &words_r);
+      if (!rv.empty()) got_r = blocks.try_read_lock_many(self_, rv, &words_r, rdst);
       if (!wv.empty()) got_w = blocks.try_write_lock_many(self_, wv, attempts, hints_w);
     }
     auto apply = [&](std::span<const std::size_t> idx,
@@ -545,9 +582,10 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
                      std::span<const std::uint64_t> words, LockState granted) {
       for (std::size_t k = 0; k < idx.size(); ++k) {
         Item& it = items[idx[k]];
-        const bool won = batch_locks ? got[k] != 0 : lock_serial(it);
+        const bool won = batch_locks ? got[k] != 0 : lock_serial(idx[k]);
         if (won) {
           it.lock = granted;
+          it.primary = static_cast<const std::byte*>(dst_of[idx[k]]);
           if (batch_locks && !words.empty()) it.word = words[k];
           if (granted == LockState::kWrite) scache_invalidate(it.id);
           continue;
@@ -618,19 +656,22 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   // consulted the cache (read-locked or kReadShared; write intents bypass
   // by design and must not deflate the hit rate).
   std::vector<DPtr> to_fetch;
+  std::vector<const std::byte*> fetched;  ///< per to_fetch: primed primary or null
   to_fetch.reserve(items.size());
+  fetched.reserve(items.size());
   for (const auto& it : items) {
     if (!(ok(it.st) && !it.cached &&
           (mode_ == TxnMode::kReadShared || it.lock != LockState::kNone)))
       continue;
     to_fetch.push_back(it.id);
+    fetched.push_back(it.primary);
     if (scache() != nullptr &&
         (mode_ == TxnMode::kReadShared || it.lock == LockState::kRead))
       self_.counters().scache_misses += 1;
   }
   std::unordered_set<std::uint64_t> tainted;
-  const bool populated = to_fetch.size() > 1;
-  if (populated) populate_block_cache<S>(to_fetch, &tainted);
+  const bool populated =
+      to_fetch.size() > 1 && populate_block_cache<S>(to_fetch, &tainted, fetched);
 
   // Phase 3: materialize states (block-cache hits on the batched path).
   // Read-locked fetches stamp straight into the shared cache (bytes read
@@ -645,7 +686,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     st->lock = it.lock;
     st->lock_word = it.word;
     const std::uint64_t txn_hits_before = self_.counters().cache_hits;
-    if (Status s = fetch_holder(it.id, *st); !ok(s)) {
+    if (Status s = fetch_holder(it.id, *st, populated ? nullptr : it.primary); !ok(s)) {
       // Not a valid holder: release the just-taken lock and report. Drop the
       // block from the cache too -- with the lock gone nothing pins its
       // bytes, and a later lookup of a recycled block must re-read.
@@ -711,11 +752,11 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
 // ---------------------------------------------------------------------------
 
 template <class S>
-Status Transaction::fetch_holder(DPtr id, S& st) {
+Status Transaction::fetch_holder(DPtr id, S& st, const std::byte* primary) {
   const std::size_t B = db_->blocks().block_size();
   // One GET suffices for a one-block holder -- the BGDL design goal.
   st.buf.resize(B);
-  cache_read_block(id, st.buf.data());
+  cache_read_block(id, st.buf.data(), primary);
   if (!well_formed<S>(st.view, B)) return Status::kNotFound;
   const std::size_t total = S::required_size(st.view);
   st.buf.resize(total);
@@ -1040,6 +1081,17 @@ Result<std::vector<std::uint32_t>> Transaction::ptypes_of(VertexHandle v) {
 
 Result<EdgeUid> Transaction::create_edge(VertexHandle origin, VertexHandle target,
                                          Dir dir, std::uint32_t label_id) {
+  if (batching_enabled() && target.vid != origin.vid) {
+    // Both endpoints' write locks in one pass: read-locked endpoints upgrade
+    // in one overlapped CAS round, and the state() calls below are hits.
+    // Statuses are reported in the serial order (origin first).
+    const FetchSpec specs[2] = {{origin.vid, /*write=*/true, /*required=*/true},
+                                {target.vid, /*write=*/true, /*required=*/true}};
+    Status per[2] = {Status::kOk, Status::kOk};
+    (void)fetch_batch<VertexState>(specs, per);
+    for (Status s : per)
+      if (!ok(s)) return s;
+  }
   auto ro = state(origin, true);
   if (!ro.ok()) return ro.status();
   VertexState* ost = *ro;
@@ -1717,7 +1769,8 @@ template Status Transaction::fetch_batch<Transaction::VertexState>(std::span<con
                                                                    std::span<Status>);
 template Status Transaction::fetch_batch<Transaction::EdgeState>(std::span<const FetchSpec>,
                                                                  std::span<Status>);
-template void Transaction::populate_block_cache<Transaction::VertexState>(
-    std::span<const DPtr>, std::unordered_set<std::uint64_t>*);
+template bool Transaction::populate_block_cache<Transaction::VertexState>(
+    std::span<const DPtr>, std::unordered_set<std::uint64_t>*,
+    std::span<const std::byte* const>);
 
 }  // namespace gdi

@@ -340,8 +340,10 @@ class Transaction {
     return state<EdgeState>(e.eid, for_write);
   }
   /// Read one holder (primary, then its continuation blocks) into `st`.
+  /// `primary`, if non-null, holds the primary block's bytes already fetched
+  /// under this transaction's lock (the read lock's GET rode its FAA).
   template <class S>
-  Status fetch_holder(DPtr id, S& st);
+  Status fetch_holder(DPtr id, S& st, const std::byte* primary = nullptr);
   /// Record which db indexes the vertex matches (commit-time index deltas).
   void snapshot_index_match(VertexState& st);
 
@@ -380,14 +382,17 @@ class Transaction {
   /// Batch-populate the block cache with the holders of `ids` (primaries in
   /// one overlapped batch, continuations in a second). Callers must hold the
   /// needed locks (or run lock-free in kReadShared). No-op unless both the
-  /// cache and batching are enabled. When `tainted` is non-null it receives
-  /// the primary of every holder that had a continuation block *already* in
-  /// the per-transaction cache -- bytes that predate the caller's seqlock
-  /// bracket and therefore disqualify the holder from a lock-free
-  /// shared-cache fill.
+  /// cache and batching are enabled; returns whether it ran. When `tainted`
+  /// is non-null it receives the primary of every holder that had a
+  /// continuation block *already* in the per-transaction cache -- bytes that
+  /// predate the caller's seqlock bracket and therefore disqualify the
+  /// holder from a lock-free shared-cache fill. `primed` is empty or one per
+  /// id: a non-null primed[i] is ids[i]'s primary block, already fetched by
+  /// its read lock's round, so only its continuation blocks are read.
   template <class S>
-  void populate_block_cache(std::span<const DPtr> ids,
-                            std::unordered_set<std::uint64_t>* tainted = nullptr);
+  bool populate_block_cache(std::span<const DPtr> ids,
+                            std::unordered_set<std::uint64_t>* tainted = nullptr,
+                            std::span<const std::byte* const> primed = {});
   /// Serve an app-ID peek from vcache_/blk_cache_; false = caller must read.
   [[nodiscard]] bool peek_cached(DPtr vid, std::uint64_t* out);
 
@@ -397,8 +402,10 @@ class Transaction {
   // transaction takes write intent on it, dropped wholesale at commit/abort.
   [[nodiscard]] bool cache_enabled() const;
   [[nodiscard]] bool batching_enabled() const;
-  /// Read one block through the cache (counts hits/misses).
-  void cache_read_block(DPtr blk, void* dst);
+  /// Read one block through the cache (counts hits/misses). A non-null
+  /// `fetched` is the block's bytes already off the wire: a miss copies them
+  /// instead of reading.
+  void cache_read_block(DPtr blk, void* dst, const std::byte* fetched = nullptr);
   /// Read a holder's continuation blocks [1, num_blocks) into `buf`:
   /// cache-served where possible, remaining misses fetched as one overlapped
   /// batch (or serially when batching is disabled).

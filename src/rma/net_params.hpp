@@ -119,8 +119,10 @@ struct OpCounters {
   // Epoch write-ahead log (src/wal/): commit records buffered into the open
   // epoch, group fsyncs paid at epoch seal (appends/fsyncs = amortization),
   // and epochs re-applied by log-replay recovery. wal_io_errors counts
-  // sealed epochs DROPPED because the segment file could not be opened --
-  // nonzero means the run was not fully durable. faults_injected counts
+  // failed log and checkpoint IO: sealed epochs DROPPED because the segment
+  // could not be opened, written, flushed or fsynced, failed directory
+  // fsyncs and failed checkpoint writes -- nonzero means the run was not
+  // fully durable. faults_injected counts
   // drop/delay/fail decisions taken by the rank's FaultInjector, if any.
   std::uint64_t wal_appends = 0;
   std::uint64_t wal_fsyncs = 0;

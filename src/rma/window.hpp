@@ -164,6 +164,14 @@ class Window {
     return put_nb(self, src, n, p.rank(), p.offset());
   }
 
+  /// A GET that was posted but whose bytes are unwanted: charged and counted
+  /// exactly like get_nb, copies nothing. A read lock that rode its block
+  /// GET in the same round and was denied ends here -- the NIC sent the
+  /// read, but bytes a writer may be changing are never looked at.
+  NbRequest get_nb_discard(Rank& self, std::size_t n, std::uint32_t target) {
+    return enqueue_data(self, n, target, /*is_put=*/false);
+  }
+
   /// Nonblocking 64-bit atomic read: the value is loaded (linearizably) at
   /// issue time into *out; the latency joins the current batch. Used by
   /// read-side multi-lookups that overlap many independent atomic fetches.

@@ -1,5 +1,6 @@
 #include "wal/wal.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 
 #include "rma/fault.hpp"
 
@@ -28,6 +30,32 @@ void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
 void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
   const auto* p = reinterpret_cast<const std::byte*>(&v);
   out.insert(out.end(), p, p + 8);
+}
+
+/// Write every byte of `parts` to `f`, flush stdio and fsync: true only if
+/// each step reports success.
+bool write_synced(std::FILE* f, std::initializer_list<std::span<const std::byte>> parts) {
+  bool ok = true;
+  for (const auto part : parts)
+    ok = ok && std::fwrite(part.data(), 1, part.size(), f) == part.size();
+  ok = std::fflush(f) == 0 && ok;
+  return ::fsync(fileno(f)) == 0 && ok;
+}
+
+/// fsync a directory: makes the entries created or renamed in it durable.
+bool fsync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+/// Count one failed log or checkpoint IO in wal_io_errors; the rank's first
+/// one is also reported on stderr.
+void io_error(rma::Rank& self, int rank, const std::string& what) {
+  if (self.counters().wal_io_errors == 0)
+    std::fprintf(stderr, "[wal] rank %d: %s; durability lost\n", rank, what.c_str());
+  self.counters().wal_io_errors += 1;
 }
 
 /// Bounds-checked little cursor over a parsed buffer.
@@ -218,17 +246,24 @@ void WalWriter::open_segment(std::uint64_t first_epoch) {
   file_bytes_ = 0;
   seg_first_epoch_ = first_epoch;
   seg_last_epoch_ = 0;
+  seg_entry_synced_ = false;
+}
+
+bool WalWriter::close_segment(bool cut_tail) {
+  if (file_ == nullptr) return true;
+  std::fclose(file_);
+  file_ = nullptr;
+  if (seg_last_epoch_ == 0) {
+    std::error_code ec;
+    fs::remove(cur_path_, ec);  // never held an intact frame
+    return true;
+  }
+  closed_.push_back({seg_first_epoch_, seg_last_epoch_, cur_path_});
+  return !cut_tail || ::truncate(cur_path_.c_str(), static_cast<off_t>(file_bytes_)) == 0;
 }
 
 void WalWriter::rotate(std::uint64_t next_first_epoch) {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    if (seg_last_epoch_ > 0)
-      closed_.push_back({seg_first_epoch_, seg_last_epoch_, cur_path_});
-    else
-      fs::remove(cur_path_);  // never held an intact frame
-    file_ = nullptr;
-  }
+  (void)close_segment(/*cut_tail=*/false);
   open_segment(next_first_epoch);
 }
 
@@ -262,14 +297,15 @@ void WalWriter::seal(rma::Rank& self, bool allow_kill) {
     // without limit, and wal_io_errors records the loss so tests and benches
     // fail loudly instead of reporting a silently non-durable run. The next
     // seal retries open_segment.
-    if (self.counters().wal_io_errors == 0)
-      std::fprintf(stderr,
-                   "[wal] rank %d: cannot open segment %s; epoch dropped, "
-                   "durability lost\n",
-                   rank_, cur_path_.c_str());
-    self.counters().wal_io_errors += 1;
+    io_error(self, rank_, "cannot open segment " + cur_path_ + "; epoch dropped");
     open_.clear();
     return;
+  }
+  if (!seg_entry_synced_) {
+    // The new segment's directory entry must be durable before any frame in
+    // it can be: fsync the directory once per segment.
+    if (!fsync_dir(cfg_.dir)) io_error(self, rank_, "cannot fsync log directory " + cfg_.dir);
+    seg_entry_synced_ = true;
   }
 
   std::vector<std::byte> header;
@@ -291,10 +327,17 @@ void WalWriter::seal(rma::Rank& self, bool allow_kill) {
     throw rma::FaultKill("wal mid-append kill");
   }
 
-  std::fwrite(header.data(), 1, header.size(), file_);
-  std::fwrite(open_.data(), 1, open_.size(), file_);
-  std::fflush(file_);
-  ::fsync(fileno(file_));
+  if (!write_synced(file_, {header, open_})) {
+    // The epoch's redo may not be on stable storage: drop it like an
+    // unopenable segment's. Recovery stops at the first torn frame, so the
+    // segment is cut back to its intact frames and closed; the next seal
+    // starts a fresh one.
+    io_error(self, rank_, "cannot write segment " + cur_path_ + "; epoch dropped");
+    open_.clear();
+    if (!close_segment(/*cut_tail=*/true))
+      io_error(self, rank_, "cannot cut a torn frame from " + closed_.back().path);
+    return;
+  }
   file_bytes_ += header.size() + open_.size();
   seg_last_epoch_ = seq;
   next_epoch_ = seq + 1;
@@ -466,7 +509,10 @@ bool write_checkpoint(rma::Rank& self, const WalConfig& cfg, const Checkpoint& c
   const std::string tmp = cfg.dir + "/checkpoint.tmp";
   const std::string fin = cfg.dir + "/checkpoint.bin";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
+  if (f == nullptr) {
+    io_error(self, self.id(), "cannot open checkpoint " + tmp);
+    return false;
+  }
 
   rma::FaultInjector* inj = self.faults();
   if (inj != nullptr && inj->should_kill(rma::KillPoint::kMidCheckpoint, 0)) {
@@ -480,14 +526,23 @@ bool write_checkpoint(rma::Rank& self, const WalConfig& cfg, const Checkpoint& c
     throw rma::FaultKill("wal mid-checkpoint kill");
   }
 
-  const bool wrote = std::fwrite(file.data(), 1, file.size(), f) == file.size();
-  std::fflush(f);
-  ::fsync(fileno(f));
-  std::fclose(f);
-  if (!wrote) return false;
+  const bool wrote = write_synced(f, {file});
+  if (std::fclose(f) != 0 || !wrote) {
+    io_error(self, self.id(), "cannot write checkpoint " + tmp);
+    return false;
+  }
   std::error_code ec;
   fs::rename(tmp, fin, ec);
-  if (ec) return false;
+  if (ec) {
+    io_error(self, self.id(), "cannot rename checkpoint " + tmp);
+    return false;
+  }
+  if (!fsync_dir(cfg.dir)) {
+    // The rename may not survive a power loss: report the checkpoint as not
+    // durable, so no log behind it is truncated.
+    io_error(self, self.id(), "cannot fsync checkpoint directory " + cfg.dir);
+    return false;
+  }
   self.charge(cfg.append_ns_per_byte * static_cast<double>(file.size()) + cfg.fsync_ns);
   self.counters().wal_fsyncs += 1;
   return true;

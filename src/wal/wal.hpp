@@ -218,6 +218,10 @@ class WalWriter {
   [[nodiscard]] bool rank_killed(rma::Rank& self) const;
   void rotate(std::uint64_t next_first_epoch);
   void open_segment(std::uint64_t first_epoch);
+  /// Close the current segment: kept if it holds an intact frame, else
+  /// removed. `cut_tail` first truncates it back to its intact frames (a
+  /// failed seal may have left part of one); false if that fails.
+  bool close_segment(bool cut_tail);
 
   struct ClosedSeg {
     std::uint64_t first_epoch = 0, last_epoch = 0;
@@ -234,6 +238,7 @@ class WalWriter {
   std::size_t file_bytes_ = 0;
   std::uint64_t seg_first_epoch_ = 1;
   std::uint64_t seg_last_epoch_ = 0;  ///< 0 while the segment holds no frame
+  bool seg_entry_synced_ = false;     ///< directory fsynced since the segment's creation
   std::string cur_path_;
   std::vector<ClosedSeg> closed_;
   rma::Rank* bound_ = nullptr;
@@ -253,9 +258,10 @@ class WalWriter {
 /// when the log has no torn tail; false on filesystem errors.
 [[nodiscard]] bool truncate_torn_tail(const RecoveredLog& log);
 
-/// Write the global checkpoint (temp file + atomic rename). Consults `self`'s
-/// FaultInjector at the kMidCheckpoint kill point. Charges the modeled
-/// serialize + fsync cost. Returns false on filesystem errors.
+/// Write the global checkpoint (temp file + atomic rename + directory
+/// fsync). Consults `self`'s FaultInjector at the kMidCheckpoint kill point.
+/// Charges the modeled serialize + fsync cost. Returns false on filesystem
+/// errors, each counted in `self`'s wal_io_errors.
 [[nodiscard]] bool write_checkpoint(rma::Rank& self, const WalConfig& cfg,
                                     const Checkpoint& ck);
 

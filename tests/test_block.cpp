@@ -257,6 +257,79 @@ TEST(RwLock, ReadLockManyWithdrawsFromWriteLockedWord) {
   });
 }
 
+TEST(RwLock, ReadLockManyCarriesBlockGetsAndDropsDeniedBytes) {
+  // Each read lock posts its block GET in the FAA round: one flush for the
+  // whole set, every GET counted, and only granted words' bytes copied.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto bs = BlockStore::create(self, small_cfg());
+    const std::vector<DPtr> blks = written_blocks(*bs, self, 3);
+    const std::size_t B = bs->block_size();
+    for (std::size_t i = 0; i < blks.size(); ++i) {
+      const std::vector<std::byte> fill(B, std::byte(0x10 + i));
+      bs->write_block(self, blks[i], fill.data());
+    }
+    EXPECT_TRUE(bs->try_write_lock(self, blks[1], kVersion1));
+    const std::uint64_t held = bs->lock_word(self, blks[1]);
+    std::vector<std::vector<std::byte>> bufs(3, std::vector<std::byte>(B, std::byte{0xAB}));
+    std::vector<void*> dsts{bufs[0].data(), bufs[1].data(), bufs[2].data()};
+    self.reset_counters();
+    std::vector<std::uint64_t> words;
+    const auto got = bs->try_read_lock_many(self, blks, &words, dsts);
+    EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 0, 1}));
+    EXPECT_EQ(self.counters().gets, 3u) << "the denied word's GET was posted too";
+    EXPECT_EQ(self.counters().bytes_get, 3 * B);
+    EXPECT_EQ(self.counters().flushes, 1u);
+    EXPECT_EQ(self.counters().atomics, 4u) << "3 FAAs + 1 withdrawal";
+    EXPECT_EQ(bufs[0], std::vector<std::byte>(B, std::byte{0x10}));
+    EXPECT_EQ(bufs[1], std::vector<std::byte>(B, std::byte{0xAB})) << "denied: untouched";
+    EXPECT_EQ(bufs[2], std::vector<std::byte>(B, std::byte{0x12}));
+    (void)self.flush_all();  // completes the withdrawal
+    EXPECT_EQ(bs->lock_word(self, blks[1]), held) << "withdrawal restores the word";
+    bs->write_unlock(self, blks[1]);
+    bs->read_unlock(self, blks[0]);
+    bs->read_unlock(self, blks[2]);
+  });
+}
+
+TEST(RwLock, RemoteReadLockWithBlockIsOneRound) {
+  rma::Runtime rt(2);
+  rt.run([&](rma::Rank& self) {
+    auto bs = BlockStore::create(self, small_cfg());
+    DPtr p;
+    if (self.id() == 1) {
+      p = bs->acquire(self, 1);
+      const std::vector<std::byte> fill(bs->block_size(), std::byte{0x5C});
+      bs->write_block(self, p, fill.data());
+    }
+    p = DPtr{self.broadcast(p.raw(), 1)};
+    if (self.id() == 0) {
+      std::vector<std::byte> buf(bs->block_size());
+      self.reset_counters();
+      std::uint64_t word = 1;
+      EXPECT_TRUE(bs->try_read_lock(self, p, &word, buf.data()));
+      EXPECT_EQ(word, 0u);
+      EXPECT_EQ(self.counters().atomics, 1u);
+      EXPECT_EQ(self.counters().gets, 1u);
+      EXPECT_EQ(self.counters().flushes, 1u);
+      EXPECT_EQ(buf, std::vector<std::byte>(bs->block_size(), std::byte{0x5C}));
+      bs->read_unlock(self, p);
+      // Denied: the GET is paid, the buffer is left alone, the word restored.
+      EXPECT_TRUE(bs->try_write_lock(self, p));
+      const std::vector<std::byte> before(bs->block_size(), std::byte{0xAB});
+      buf = before;
+      self.reset_counters();
+      EXPECT_FALSE(bs->try_read_lock(self, p, nullptr, buf.data()));
+      EXPECT_EQ(self.counters().gets, 1u);
+      EXPECT_EQ(buf, before);
+      (void)self.flush_all();
+      EXPECT_EQ(bs->lock_word(self, p), BlockStore::kWriteBit);
+      bs->write_unlock(self, p);
+    }
+    self.barrier();
+  });
+}
+
 TEST_P(BlockConcurrency, WriteLockMutualExclusion) {
   const int P = GetParam();
   rma::Runtime rt(P);

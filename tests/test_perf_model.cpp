@@ -251,6 +251,188 @@ TEST(PerfModel, BatchedFrontierFetchCheaperThanSequential) {
   });
 }
 
+// --- one round per lock step (read lock + primary GET, paired upgrades) -----
+
+TEST(PerfModel, RemoteSingletonReadLockCarriesItsPrimaryGet) {
+  // A read lock on a remote holder posts the primary GET behind its FAA:
+  // one overlapped round and one flush instead of FAA, then GET.
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, cfg_with_block(512));
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        (void)w.create_vertex(1);  // owner rank 1: remote from rank 0
+        (void)w.commit();
+      }
+      Transaction r(db, self, TxnMode::kRead);
+      const DPtr vid = *r.translate_vertex_id(1);
+      self.reset_counters();
+      ASSERT_TRUE(r.associate_vertex(vid).ok());
+      EXPECT_EQ(self.counters().atomics, 1u) << "one FAA";
+      EXPECT_EQ(self.counters().gets, 1u) << "one primary GET";
+      EXPECT_EQ(self.counters().bytes_get, 512u);
+      EXPECT_EQ(self.counters().flushes, 1u) << "both in one flushed round";
+      (void)r.commit();
+    }
+    self.barrier();
+  });
+}
+
+TEST(PerfModel, RemoteMultiBlockReadLockAddsOnlyTheTailRound) {
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, cfg_with_block(256));
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        auto hub = *w.create_vertex(1);  // owner rank 1: remote from rank 0
+        for (std::uint64_t i = 2; i <= 12; i += 2)
+          (void)w.create_edge(hub, *w.create_vertex(i), layout::Dir::kOut);
+        (void)w.commit();
+      }
+      Transaction r(db, self, TxnMode::kRead);
+      const DPtr vid = *r.translate_vertex_id(1);
+      std::uint32_t nb = 0;
+      db->blocks().read(self, vid, 12, &nb, 4);
+      ASSERT_EQ(nb, 2u) << "test requires a two-block holder";
+      self.reset_counters();
+      ASSERT_TRUE(r.associate_vertex(vid).ok());
+      EXPECT_EQ(self.counters().atomics, 1u);
+      EXPECT_EQ(self.counters().gets, 2u) << "primary with the lock, then the tail";
+      EXPECT_EQ(self.counters().flushes, 1u) << "the lone tail GET stays blocking";
+      (void)r.commit();
+    }
+    self.barrier();
+  });
+}
+
+TEST(PerfModel, LocalSingletonReadLockStaysBlocking) {
+  // A local FAA then a local GET undercuts one overlapped round plus a fence.
+  rma::Runtime rt(1, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, cfg_with_block(512));
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      (void)w.create_vertex(0);
+      (void)w.commit();
+    }
+    Transaction r(db, self, TxnMode::kRead);
+    const DPtr vid = *r.translate_vertex_id(0);
+    self.reset_counters();
+    ASSERT_TRUE(r.associate_vertex(vid).ok());
+    EXPECT_EQ(self.counters().atomics, 1u);
+    EXPECT_EQ(self.counters().gets, 1u);
+    EXPECT_EQ(self.counters().flushes, 0u);
+    (void)r.commit();
+  });
+}
+
+TEST(PerfModel, ReadBatchOfUncachedHoldersIsOneFlush) {
+  // k uncached single-block holders: k FAAs and k primary GETs share one
+  // flushed round; no second primary round follows.
+  constexpr std::uint64_t kHolders = 6;
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, cfg_with_block(512));
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        for (std::uint64_t i = 0; i < kHolders; ++i) (void)w.create_vertex(i);
+        (void)w.commit();
+      }
+      Transaction r(db, self, TxnMode::kRead);
+      std::vector<DPtr> vids;
+      for (std::uint64_t i = 0; i < kHolders; ++i) vids.push_back(*r.translate_vertex_id(i));
+      self.reset_counters();
+      BatchScope scope = r.batch();
+      std::vector<Future<VertexHandle>> futs;
+      for (DPtr v : vids) futs.push_back(scope.associate(v));
+      ASSERT_EQ(scope.execute(), Status::kOk);
+      for (const auto& f : futs) EXPECT_TRUE(f.ok());
+      EXPECT_EQ(self.counters().atomics, kHolders);
+      EXPECT_EQ(self.counters().gets, kHolders);
+      EXPECT_EQ(self.counters().flushes, 1u);
+      (void)r.commit();
+    }
+    self.barrier();
+  });
+}
+
+TEST(PerfModel, CreateEdgeUpgradesBothEndpointsInOneRound) {
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, cfg_with_block(512));
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        (void)w.create_vertex(0);
+        (void)w.create_vertex(1);
+        (void)w.commit();
+      }
+      Transaction w(db, self, TxnMode::kWrite);
+      auto a = w.find_vertex(0);
+      auto b = w.find_vertex(1);
+      ASSERT_TRUE(a.ok() && b.ok());
+      self.reset_counters();
+      ASSERT_TRUE(w.create_edge(*a, *b, layout::Dir::kOut).ok());
+      EXPECT_EQ(self.counters().atomics, 2u) << "one upgrade CAS per endpoint";
+      EXPECT_EQ(self.counters().flushes, 1u) << "both CASes in one round";
+      EXPECT_EQ(self.counters().gets, 0u);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    self.barrier();
+  });
+}
+
+TEST(PerfModel, SerialReadPathOpCountsArePinned) {
+  // batched_reads = false is the paper-fidelity path and the denominator of
+  // the batched speedups: a fixed read-then-write stream must keep exactly
+  // these op counts.
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    DatabaseConfig c = cfg_with_block(256);
+    c.batched_reads = false;
+    auto db = Database::create(self, c);
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        auto hub = *w.create_vertex(0);
+        for (std::uint64_t i = 1; i < 24; ++i)
+          (void)w.create_edge(hub, *w.create_vertex(i), layout::Dir::kOut);
+        ASSERT_EQ(w.commit(), Status::kOk);
+      }
+      self.reset_counters();
+      {
+        Transaction r(db, self, TxnMode::kRead);
+        for (std::uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(r.find_vertex(i).ok());
+        ASSERT_TRUE(r.edges_of(*r.find_vertex(0), DirFilter::kAll).ok());
+        ASSERT_EQ(r.commit(), Status::kOk);
+      }
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        auto a = w.find_vertex(3);
+        auto b = w.find_vertex(4);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_TRUE(w.create_edge(*a, *b, layout::Dir::kOut).ok());
+        ASSERT_TRUE(w.create_edge(*a, *w.find_vertex(0), layout::Dir::kIn).ok());
+        ASSERT_EQ(w.commit(), Status::kOk);
+      }
+      // Recorded before read locks carried their primary GETs; the serial
+      // path must not notice that change.
+      const auto& k = self.counters();
+      EXPECT_EQ(k.gets, 17u);
+      EXPECT_EQ(k.bytes_get, 4352u);
+      EXPECT_EQ(k.puts, 4u);
+      EXPECT_EQ(k.bytes_put, 1024u);
+      EXPECT_EQ(k.atomics, 85u);
+      EXPECT_EQ(k.flushes, 3u);
+      EXPECT_EQ(k.remote_ops, 23u);
+    }
+    self.barrier();
+  });
+}
+
 TEST(PerfModel, RemoteOpsDominateAtHighRankCounts) {
   // With round-robin sharding, a fraction ~ (P-1)/P of holder fetches is
   // remote: the cost model must reflect that (used by Fig. 4 analyses).

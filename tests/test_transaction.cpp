@@ -411,6 +411,82 @@ TEST(Txn, WriteConflictAbortsSecondTxn) {
   });
 }
 
+TEST(Txn, ReadBatchDeniedByWriterLeavesNoCachedBytes) {
+  // A read batch posts each uncached holder's primary GET with its lock FAA.
+  // A write-locked word denies its op: kTxnConflict, the GET paid but its
+  // bytes dropped (no per-transaction or shared-cache entry), the word
+  // restored exactly by the withdrawal.
+  rma::Runtime rt(2);
+  rt.run([&](rma::Rank& self) {
+    DatabaseConfig cfg = test_db();
+    cfg.shared_cache = true;
+    auto db = Database::create(self, cfg);
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        for (std::uint64_t i = 0; i < 4; ++i) (void)w.create_vertex(i);
+        ASSERT_EQ(w.commit(), Status::kOk);
+      }
+      auto& blocks = db->blocks();
+      auto* sc = db->shared_cache(self);
+      ASSERT_NE(sc, nullptr);
+      std::vector<DPtr> vids;
+      {
+        Transaction t(db, self, TxnMode::kRead);
+        for (std::uint64_t i = 0; i < 4; ++i) vids.push_back(*t.translate_vertex_id(i));
+        (void)t.commit();
+      }
+      const auto write_lock = [&](DPtr v) {
+        const std::uint64_t free_word = blocks.lock_word(self, v);
+        EXPECT_TRUE(blocks.try_write_lock(self, v, free_word));
+        return blocks.lock_word(self, v);
+      };
+
+      // Required ops: the denied one reports kTxnConflict and dooms the txn.
+      {
+        const std::uint64_t held = write_lock(vids[1]);
+        Transaction r(db, self, TxnMode::kRead);
+        BatchScope scope = r.batch();
+        auto f0 = scope.associate(vids[0]);
+        auto f1 = scope.associate(vids[1]);
+        self.reset_counters();
+        EXPECT_EQ(scope.execute(), Status::kTxnConflict);
+        EXPECT_EQ(f1.status(), Status::kTxnConflict);
+        EXPECT_EQ(self.counters().gets, 2u) << "the denied op's GET is in the batch";
+        EXPECT_EQ(self.counters().flushes, 1u);
+        (void)self.flush_all();
+        EXPECT_EQ(blocks.lock_word(self, vids[1]), held);
+        EXPECT_EQ(sc->find(vids[1]), nullptr) << "no shared-cache entry from dropped bytes";
+        EXPECT_NE(sc->find(vids[0]), nullptr) << "the granted op still fills";
+        EXPECT_EQ(r.commit(), Status::kTxnConflict);
+        blocks.write_unlock(self, vids[1]);
+      }
+
+      // Hints: the denied one leaves no per-transaction block either -- a
+      // later associate in the same transaction reads the holder afresh.
+      {
+        const std::uint64_t held = write_lock(vids[3]);
+        Transaction r(db, self, TxnMode::kRead);
+        self.reset_counters();
+        r.prefetch_vertices(std::vector<DPtr>{vids[2], vids[3]});
+        EXPECT_EQ(self.counters().gets, 2u);
+        EXPECT_EQ(self.counters().flushes, 1u);
+        (void)self.flush_all();
+        EXPECT_EQ(blocks.lock_word(self, vids[3]), held);
+        EXPECT_EQ(sc->find(vids[3]), nullptr);
+        blocks.write_unlock(self, vids[3]);
+        self.reset_counters();
+        ASSERT_TRUE(r.associate_vertex(vids[3]).ok());
+        EXPECT_EQ(self.counters().gets, 1u);
+        EXPECT_EQ(self.counters().cache_hits, 0u) << "no stale block-cache entry";
+        EXPECT_EQ(self.counters().cache_misses, 1u);
+        EXPECT_EQ(r.commit(), Status::kOk);
+      }
+    }
+    self.barrier();
+  });
+}
+
 TEST(Txn, ReadersShareButBlockWriters) {
   rma::Runtime rt(1);
   rt.run([&](rma::Rank& self) {

@@ -654,6 +654,52 @@ TEST(WalSeal, SegmentOpenFailureDropsTheEpochBoundedlyAndCountsIt) {
   fs::remove_all(parent);
 }
 
+TEST(WalSeal, SegmentWriteFailureDropsTheEpochAndTheNextSealRecovers) {
+  // The next segment is a symlink to /dev/full: it opens, but every write
+  // (flush) fails with ENOSPC.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const fs::path dir = fs::temp_directory_path() / "gdi_wal_devfull";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir / "wal-r0-e00000000000000000001.seg");
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    wal::WalConfig wc;
+    wc.dir = dir.string();
+    wal::WalWriter w(0, wc);
+    wal::CommitRecord rec;
+    rec.dht_insert(1, 2);
+    EXPECT_EQ(w.append(self, rec), 1u);
+    w.seal(self);
+    EXPECT_GT(self.counters().wal_io_errors, 0u);
+    EXPECT_FALSE(w.has_open_epoch());
+    EXPECT_EQ(w.epoch_hw(), 0u) << "the failed epoch is not reported sealed";
+    EXPECT_EQ(self.counters().wal_fsyncs, 0u);
+    // The failed segment held no intact frame and is gone; the next seal
+    // writes a fresh one that recovery reads back.
+    const std::uint64_t errors = self.counters().wal_io_errors;
+    EXPECT_EQ(w.append(self, rec), 2u);
+    w.seal(self);
+    EXPECT_EQ(self.counters().wal_io_errors, errors);
+    EXPECT_EQ(w.epoch_hw(), 1u);
+    const wal::RecoveredLog log = wal::read_log(wc.dir, 0, 0);
+    EXPECT_FALSE(log.torn_tail);
+    EXPECT_EQ(log.epoch_hw, 1u);
+    EXPECT_EQ(log.commit_hw, 2u);
+
+    // A checkpoint whose temp file cannot be written is refused and counted.
+    fs::create_symlink("/dev/full", dir / "checkpoint.tmp");
+    wal::Checkpoint ck;
+    ck.sections.push_back({std::byte{1}});
+    ck.epoch_hw.push_back(1);
+    ck.commit_hw.push_back(2);
+    EXPECT_FALSE(wal::write_checkpoint(self, wc, ck));
+    EXPECT_EQ(self.counters().wal_io_errors, errors + 1);
+    EXPECT_FALSE(fs::exists(dir / "checkpoint.bin"));
+  });
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjector semantics
 // ---------------------------------------------------------------------------
