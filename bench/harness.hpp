@@ -8,11 +8,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/rpc_store.hpp"
@@ -175,6 +178,53 @@ inline std::string fmt_mqps(double qps) {
 inline std::string fmt_s(double ns) { return stats::Table::fmt(ns / 1e9, 3); }
 inline std::string fmt_ms(double ns) { return stats::Table::fmt(ns / 1e6, 3); }
 inline std::string fmt_pct(double f) { return stats::Table::fmt(f * 100.0, 2) + "%"; }
+
+/// A bench's machine-readable result: a flat, ordered map from key to a
+/// number, a string or a bool, printed after the table as the `JSON:` blob.
+/// tools/check_bench.py gates a metric by reading `record[key]` for each key
+/// of the bench's smoke baseline, so a record key is a gate's metric name and
+/// gating one more metric is one more key in a BENCH_pr*.json smoke section.
+/// This is the only code in bench/ that writes JSON punctuation.
+class Record {
+ public:
+  /// A real number printed fixed-point with `precision` decimals; a
+  /// non-finite value prints as null, so the blob always parses.
+  Record& num(const std::string& key, double v, int precision) {
+    return put(key, std::isfinite(v) ? stats::Table::fmt(v, precision) : "null");
+  }
+  /// An exact integer.
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Record& num(const std::string& key, T v) {
+    return put(key, std::to_string(v));
+  }
+  Record& str(const std::string& key, const std::string& v) { return put(key, quote(v)); }
+  Record& flag(const std::string& key, bool v) { return put(key, v ? "true" : "false"); }
+
+  void print() const {
+    std::cout << "\nJSON:\n{\n";
+    for (std::size_t i = 0; i < fields_.size(); ++i)
+      std::cout << "  " << quote(fields_[i].first) << ": " << fields_[i].second
+                << (i + 1 < fields_.size() ? ",\n" : "\n");
+    std::cout << "}\n";
+  }
+
+ private:
+  Record& put(const std::string& key, std::string json) {
+    fields_.emplace_back(key, std::move(json));
+    return *this;
+  }
+  static std::string quote(const std::string& s) {
+    std::string out = "\"";
+    for (const char ch : s) {
+      if (ch == '"' || ch == '\\') out += '\\';
+      out += ch;
+    }
+    return out + "\"";
+  }
+
+  std::vector<std::pair<std::string, std::string>> fields_;  ///< key -> JSON text
+};
 
 inline void print_header(const std::string& title, const std::string& paper_ref) {
   std::cout << "==============================================================\n"

@@ -265,21 +265,24 @@ int main() {
   t.add_row({"wire throughput kq/s (wall)", stats::Table::fmt(wire_kqps, 1)});
   std::cout << t.to_string();
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr10_recovery\",\n"
-            << "  \"description\": \"pre-ack server kill + recover-integrated "
-               "restart: exactly-once across the death\",\n"
-            << "  \"ranks\": 1, \"tenants\": " << tenants
-            << ", \"per_tenant\": " << per_tenant << ",\n"
-            << "  \"committed_frac\": " << stats::Table::fmt(committed_frac, 4)
-            << ", \"replay_hit_rate\": " << stats::Table::fmt(replay_hit_rate, 4)
-            << ",\n  \"kills\": " << kills << ", \"passes\": " << passes
-            << ", \"replay_hits\": " << replay_hits
-            << ", \"replay_misses\": " << replay_misses
-            << ",\n  \"recovery_ms\": " << stats::Table::fmt(recovery_ms, 1)
-            << ", \"reconnects\": " << reconnects << "\n"
-            << "}\n"
-            << "\nExpected shape: both fractions are 1.0000 -- the server "
+  Record()
+      .str("bench", "pr10_recovery")
+      .str("description",
+           "pre-ack server kill + recover-integrated restart: exactly-once across "
+           "the death")
+      .num("ranks", 1)
+      .num("tenants", tenants)
+      .num("per_tenant", per_tenant)
+      .num("committed_frac", committed_frac, 4)
+      .num("replay_hit_rate", replay_hit_rate, 4)
+      .num("kills", kills)
+      .num("passes", passes)
+      .num("replay_hits", replay_hits)
+      .num("replay_misses", replay_misses)
+      .num("recovery_ms", recovery_ms, 1)
+      .num("reconnects", reconnects)
+      .print();
+  std::cout << "\nExpected shape: both fractions are 1.0000 -- the server "
                "died at least\nonce with a committed-but-unacked write, the "
                "restart answered every\nreplayed write from the recovered "
                "cache, and no increment was lost or\ndouble-executed.\n";

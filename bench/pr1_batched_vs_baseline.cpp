@@ -2,9 +2,8 @@
 // behaviour) vs the nonblocking batched RMA engine + per-transaction block
 // cache, on the fig6a (PageRank/CDLP/WCC) and fig6e (BFS/k-hop) workloads.
 //
-// Emits JSON on stdout; the committed snapshot lives in BENCH_pr1.json so the
-// perf trajectory of the repo starts with this PR. Run with:
-//   ./bench_pr1_batched_vs_baseline > BENCH_pr1.json
+// Prints a bench::Record JSON blob; the committed snapshot lives in
+// BENCH_pr1.json so the perf trajectory of the repo starts with this PR.
 #include "harness.hpp"
 
 namespace {
@@ -84,37 +83,32 @@ int main() {
     }
   }
 
-  auto num = [](double v) { return stats::Table::fmt(v, 1); };
-  std::cout << "{\n"
-            << "  \"bench\": \"pr1_batched_vs_baseline\",\n"
-            << "  \"description\": \"seed blocking reads vs nonblocking batched RMA "
-               "engine + per-txn block cache\",\n"
-            << "  \"net\": \"xc40\",\n"
-            << "  \"ranks\": " << kRanks << ",\n"
-            << "  \"scale\": " << kScale << ",\n"
-            << "  \"groups\": {\n"
-            << "    \"fig6a_olap_weak\": {\"baseline_ns\": " << num(base6a)
-            << ", \"batched_ns\": " << num(bat6a)
-            << ", \"speedup\": " << num(base6a / bat6a) << "},\n"
-            << "    \"fig6e_bfs_khop_weak\": {\"baseline_ns\": " << num(base6e)
-            << ", \"batched_ns\": " << num(bat6e)
-            << ", \"speedup\": " << num(base6e / bat6e) << "}\n"
-            << "  },\n"
-            << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::cout << "    {\"name\": \"" << r.name << "\""
-              << ", \"baseline_ns\": " << num(r.baseline.sim_ns)
-              << ", \"batched_ns\": " << num(r.batched.sim_ns)
-              << ", \"speedup\": " << num(r.baseline.sim_ns / r.batched.sim_ns)
-              << ", \"baseline_remote_ops\": " << r.baseline.remote_ops
-              << ", \"batched_remote_ops\": " << r.batched.remote_ops
-              << ", \"batched_batches\": " << r.batched.counters.batches
-              << ", \"batched_max_batch_depth\": " << r.batched.counters.max_batch_ops
-              << ", \"batched_cache_hit_rate\": "
-              << stats::Table::fmt(stats::cache_hit_rate(r.batched.counters), 4) << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
+  Record rec;
+  rec.str("bench", "pr1_batched_vs_baseline")
+      .str("description",
+           "seed blocking reads vs nonblocking batched RMA engine + per-txn block cache")
+      .str("net", "xc40")
+      .num("ranks", kRanks)
+      .num("scale", kScale);
+  auto group = [&](const std::string& name, double base, double bat) {
+    const std::string g = "groups/" + name + "/";
+    rec.num(g + "baseline_ns", base, 1)
+        .num(g + "batched_ns", bat, 1)
+        .num(g + "speedup", base / bat, 1);
+  };
+  group("fig6a_olap_weak", base6a, bat6a);
+  group("fig6e_bfs_khop_weak", base6e, bat6e);
+  for (const auto& r : rows) {
+    const std::string w = "workloads/" + r.name + "/";
+    rec.num(w + "baseline_ns", r.baseline.sim_ns, 1)
+        .num(w + "batched_ns", r.batched.sim_ns, 1)
+        .num(w + "speedup", r.baseline.sim_ns / r.batched.sim_ns, 1)
+        .num(w + "baseline_remote_ops", r.baseline.remote_ops)
+        .num(w + "batched_remote_ops", r.batched.remote_ops)
+        .num(w + "batched_batches", r.batched.counters.batches)
+        .num(w + "batched_max_batch_depth", r.batched.counters.max_batch_ops)
+        .num(w + "batched_cache_hit_rate", stats::cache_hit_rate(r.batched.counters), 4);
   }
-  std::cout << "  ]\n}\n";
+  rec.print();
   return 0;
 }

@@ -84,28 +84,29 @@ int main() {
   }
   std::cout << table.to_string();
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr2_async_oltp\",\n"
-            << "  \"description\": \"OLTP point reads: serial txn-per-query (PR1) vs "
-               "BatchScope frontier groups (read_batch=32)\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"queries_per_rank\": 2000,\n  \"mixes\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::cout << "    {\"mix\": \"" << r.mix << "\", \"serial_qps\": "
-              << stats::Table::fmt(r.serial_qps, 1)
-              << ", \"batched_qps\": " << stats::Table::fmt(r.batched_qps, 1)
-              << ", \"speedup\": " << stats::Table::fmt(r.batched_qps / r.serial_qps, 2)
-              << ", \"serial_failed\": " << stats::Table::fmt(r.serial_fail, 4)
-              << ", \"batched_failed\": " << stats::Table::fmt(r.batched_fail, 4)
-              << ", \"serial_flushes\": " << r.serial_flushes
-              << ", \"batched_flushes\": " << r.batched_flushes
-              << ", \"batched_nb_batches\": " << r.batched_batches
-              << ", \"batched_max_batch_depth\": " << r.batched_max_depth << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
+  Record rec;
+  rec.str("bench", "pr2_async_oltp")
+      .str("description",
+           "OLTP point reads: serial txn-per-query (PR1) vs BatchScope frontier "
+           "groups (read_batch=32)")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("queries_per_rank", 2000);
+  for (const auto& r : rows) {
+    const std::string m = r.mix + "/";
+    rec.num(m + "serial_qps", r.serial_qps, 1)
+        .num(m + "batched_qps", r.batched_qps, 1)
+        .num(m + "speedup", r.batched_qps / r.serial_qps, 2)
+        .num(m + "serial_failed", r.serial_fail, 4)
+        .num(m + "batched_failed", r.batched_fail, 4)
+        .num(m + "serial_flushes", r.serial_flushes)
+        .num(m + "batched_flushes", r.batched_flushes)
+        .num(m + "batched_nb_batches", r.batched_batches)
+        .num(m + "batched_max_batch_depth", r.batched_max_depth);
   }
-  std::cout << "  ]\n}\n"
-            << "\nExpected shape: read-heavy mixes gain the most (RM > RI > LB).\n"
+  rec.print();
+  std::cout << "\nExpected shape: read-heavy mixes gain the most (RM > RI > LB).\n"
                "Each batched flush is an overlapped completion point amortizing\n"
                "up to read_batch lookups/locks/fetches (see max_batch_depth);\n"
                "serial reads instead pay one full latency chain per query.\n";

@@ -120,24 +120,25 @@ int main() {
                  "-", std::to_string(load_shards)});
   std::cout << table.to_string();
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr3_dht_growth\",\n"
-            << "  \"description\": \"sharded growable DHT: insert_many vs serial "
-               "insert, bulk load at 1/8 provisioning\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P
-            << ", \"keys_per_rank\": " << keys_per_rank << ", \"scale\": " << scale
-            << ",\n"
-            << "  \"serial_ns_per_key\": " << stats::Table::fmt(serial_per_key, 1)
-            << ", \"batched_ns_per_key\": " << stats::Table::fmt(batched_per_key, 1)
-            << ", \"insert_many_speedup\": " << stats::Table::fmt(speedup, 2)
-            << ",\n"
-            << "  \"insert_keys_total\": " << total_keys
-            << ", \"insert_shards\": " << grown_shards << ",\n"
-            << "  \"bulk_vertices\": " << load_vertices
-            << ", \"bulk_shards\": " << load_shards
-            << ", \"bulk_load_mvps\": " << stats::Table::fmt(load_mvps, 3) << "\n"
-            << "}\n"
-            << "\nExpected shape: insert_many wins by overlapping the per-entry\n"
+  Record rec;
+  rec.str("bench", "pr3_dht_growth")
+      .str("description",
+           "sharded growable DHT: insert_many vs serial insert, bulk load at 1/8 "
+           "provisioning")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("keys_per_rank", keys_per_rank)
+      .num("scale", scale)
+      .num("serial_ns_per_key", serial_per_key, 1)
+      .num("batched_ns_per_key", batched_per_key, 1)
+      .num("insert_many_speedup", speedup, 2)
+      .num("insert_keys_total", total_keys)
+      .num("insert_shards", grown_shards)
+      .num("bulk_vertices", load_vertices)
+      .num("bulk_shards", load_shards)
+      .num("bulk_load_mvps", load_mvps, 3)
+      .print();
+  std::cout << "\nExpected shape: insert_many wins by overlapping the per-entry\n"
                "field round and the bucket-head CAS rounds (cost\n"
                "ceil(k/Q)*max(alpha) per round); the bulk load completes despite\n"
                "1/8 provisioning by publishing shards through the directory CAS.\n";

@@ -84,28 +84,29 @@ int main() {
   }
   std::cout << table.to_string();
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr4_cached_oltp\",\n"
-            << "  \"description\": \"warm hot-set OLTP (fig4a harness): shared "
-               "version-validated cache off (PR3 shape) vs on\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"hot_ids\": " << kHotIds << ", \"queries_per_rank\": 2000,\n"
-            << "  \"mixes\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    std::cout << "    {\"mix\": \"" << r.mix << "\", \"cold_qps\": "
-              << stats::Table::fmt(r.cold_qps, 1)
-              << ", \"warm_qps\": " << stats::Table::fmt(r.warm_qps, 1)
-              << ", \"speedup\": " << stats::Table::fmt(r.warm_qps / r.cold_qps, 2)
-              << ", \"scache_hit_rate\": " << stats::Table::fmt(r.hit_rate, 4)
-              << ", \"validations\": " << r.validations
-              << ", \"invalidations\": " << r.invalidations
-              << ", \"cold_failed\": " << stats::Table::fmt(r.cold_fail, 4)
-              << ", \"warm_failed\": " << stats::Table::fmt(r.warm_fail, 4) << "}"
-              << (i + 1 < rows.size() ? "," : "") << "\n";
+  Record rec;
+  rec.str("bench", "pr4_cached_oltp")
+      .str("description",
+           "warm hot-set OLTP (fig4a harness): shared version-validated cache off "
+           "(PR3 shape) vs on")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("hot_ids", kHotIds)
+      .num("queries_per_rank", 2000);
+  for (const auto& r : rows) {
+    const std::string m = r.mix + "/";
+    rec.num(m + "cold_qps", r.cold_qps, 1)
+        .num(m + "warm_qps", r.warm_qps, 1)
+        .num(m + "speedup", r.warm_qps / r.cold_qps, 2)
+        .num(m + "scache_hit_rate", r.hit_rate, 4)
+        .num(m + "validations", r.validations)
+        .num(m + "invalidations", r.invalidations)
+        .num(m + "cold_failed", r.cold_fail, 4)
+        .num(m + "warm_failed", r.warm_fail, 4);
   }
-  std::cout << "  ]\n}\n"
-            << "\nExpected shape: read-mostly gains most (>= 1.3x acceptance bar);\n"
+  rec.print();
+  std::cout << "\nExpected shape: read-mostly gains most (>= 1.3x acceptance bar);\n"
                "hit rate tracks the hot-set-to-stream ratio minus invalidations\n"
                "from the mix's writes. Validation is free for locked reads (the\n"
                "lock CAS observes the version), so cold == PR 3 op counts.\n";

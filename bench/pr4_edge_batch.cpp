@@ -98,19 +98,22 @@ int main() {
   std::cout << table.to_string();
   std::cout << "speedup: " << stats::Table::fmt(speedup, 2) << "x\n";
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr4_edge_batch\",\n"
-            << "  \"description\": \"label-constrained edges_of over 50% heavy "
-               "edges: serial holder fetches vs one batched holder fetch\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"queries_per_rank\": " << kQueries << ",\n"
-            << "  \"serial_time_ns\": " << stats::Table::fmt(serial.time_ns, 1)
-            << ", \"batched_time_ns\": " << stats::Table::fmt(batched.time_ns, 1)
-            << ", \"edge_batch_speedup\": " << stats::Table::fmt(speedup, 2)
-            << ",\n  \"batched_edge_batches\": " << batched.edge_batches
-            << ", \"batched_avg_edge_batch\": " << stats::Table::fmt(avg(batched), 1)
-            << "\n}\n"
-            << "\nExpected shape: the batched path overlaps every heavy holder's\n"
+  Record()
+      .str("bench", "pr4_edge_batch")
+      .str("description",
+           "label-constrained edges_of over 50% heavy edges: serial holder fetches "
+           "vs one batched holder fetch")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("queries_per_rank", kQueries)
+      .num("serial_time_ns", serial.time_ns, 1)
+      .num("batched_time_ns", batched.time_ns, 1)
+      .num("edge_batch_speedup", speedup, 2)
+      .num("batched_edge_batches", batched.edge_batches)
+      .num("batched_avg_edge_batch", avg(batched), 1)
+      .print();
+  std::cout << "\nExpected shape: the batched path overlaps every heavy holder's\n"
                "lock CAS and block GET behind one flush per round, so it wins by\n"
                "roughly the mean heavy degree of the filtered scan.\n";
   return 0;

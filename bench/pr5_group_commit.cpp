@@ -123,6 +123,11 @@ int main() {
 
   const double ws_speedup = ws[0].qps > 0 ? ws[1].qps / ws[0].qps : 0;
   const double raw_speedup = raw[0].qps > 0 ? raw[1].qps / raw[0].qps : 0;
+  const double mix_speedup = mix_qps[0] > 0 ? mix_qps[1] / mix_qps[0] : 0;
+  const double commits_per_epoch =
+      ws[1].gc_epochs ? static_cast<double>(ws[1].gc_enrolled) /
+                            static_cast<double>(ws[1].gc_epochs)
+                      : 0;
   const double raw_hit_rate =
       raw[1].scache_hits + raw[1].scache_misses > 0
           ? static_cast<double>(raw[1].scache_hits) /
@@ -144,7 +149,7 @@ int main() {
                  stats::Table::fmt(raw[1].flushes_per_txn, 2),
                  std::to_string(raw[1].scache_hits)});
   table.add_row({"update-stream mix", fmt_mqps(mix_qps[0]), fmt_mqps(mix_qps[1]),
-                 stats::Table::fmt(mix_qps[0] > 0 ? mix_qps[1] / mix_qps[0] : 0, 2) + "x",
+                 stats::Table::fmt(mix_speedup, 2) + "x",
                  "-", "-", "-"});
   std::cout << table.to_string();
   std::cout << "write stream GET/PUT bytes " << (bytes_equal ? "EQUAL" : "UNEQUAL")
@@ -154,48 +159,35 @@ int main() {
             << " (invalidate-on-writeback goes cold); pr5 hits: "
             << raw[1].scache_hits << " (restamps " << raw[1].restamps << ")\n"
             << "pr5 group commit: " << ws[1].gc_epochs << " epochs, "
-            << stats::Table::fmt(ws[1].gc_epochs
-                                     ? static_cast<double>(ws[1].gc_enrolled) /
-                                           static_cast<double>(ws[1].gc_epochs)
-                                     : 0,
-                                 1)
-            << " commits/epoch\n";
+            << stats::Table::fmt(commits_per_epoch, 1) << " commits/epoch\n";
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr5_group_commit\",\n"
-            << "  \"description\": \"write hot path: PR4 flush-per-commit + "
-               "invalidate-on-writeback vs PR5 group commit + write-through\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"updates_per_rank\": 2000,\n"
-            << "  \"write_stream\": {\"pr4_qps\": " << stats::Table::fmt(ws[0].qps, 1)
-            << ", \"pr5_qps\": " << stats::Table::fmt(ws[1].qps, 1)
-            << ", \"speedup\": " << stats::Table::fmt(ws_speedup, 2)
-            << ", \"bytes_equal\": " << (bytes_equal ? "true" : "false")
-            << ",\n    \"pr4_flushes_per_txn\": "
-            << stats::Table::fmt(ws[0].flushes_per_txn, 3)
-            << ", \"pr5_flushes_per_txn\": "
-            << stats::Table::fmt(ws[1].flushes_per_txn, 3)
-            << ", \"commits_per_epoch\": "
-            << stats::Table::fmt(ws[1].gc_epochs
-                                     ? static_cast<double>(ws[1].gc_enrolled) /
-                                           static_cast<double>(ws[1].gc_epochs)
-                                     : 0,
-                                 1)
-            << "},\n"
-            << "  \"read_after_write\": {\"pr4_qps\": "
-            << stats::Table::fmt(raw[0].qps, 1)
-            << ", \"pr5_qps\": " << stats::Table::fmt(raw[1].qps, 1)
-            << ", \"speedup\": " << stats::Table::fmt(raw_speedup, 2)
-            << ",\n    \"pr4_scache_hits\": " << raw[0].scache_hits
-            << ", \"pr5_scache_hits\": " << raw[1].scache_hits
-            << ", \"pr5_hit_rate\": " << stats::Table::fmt(raw_hit_rate, 4) << "},\n"
-            << "  \"update_stream_mix\": {\"pr4_qps\": "
-            << stats::Table::fmt(mix_qps[0], 1)
-            << ", \"pr5_qps\": " << stats::Table::fmt(mix_qps[1], 1)
-            << ", \"speedup\": "
-            << stats::Table::fmt(mix_qps[0] > 0 ? mix_qps[1] / mix_qps[0] : 0, 2)
-            << "}\n}\n"
-            << "\nExpected shape: write-stream >= 1.5x at byte-identical GET/PUT\n"
+  Record()
+      .str("bench", "pr5_group_commit")
+      .str("description",
+           "write hot path: PR4 flush-per-commit + invalidate-on-writeback vs PR5 "
+           "group commit + write-through")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("updates_per_rank", 2000)
+      .num("write_stream_pr4_qps", ws[0].qps, 1)
+      .num("write_stream_pr5_qps", ws[1].qps, 1)
+      .num("write_stream_speedup", ws_speedup, 2)
+      .flag("write_stream_bytes_equal", bytes_equal)
+      .num("write_stream_pr4_flushes_per_txn", ws[0].flushes_per_txn, 3)
+      .num("write_stream_pr5_flushes_per_txn", ws[1].flushes_per_txn, 3)
+      .num("write_stream_commits_per_epoch", commits_per_epoch, 1)
+      .num("read_after_write_pr4_qps", raw[0].qps, 1)
+      .num("read_after_write_pr5_qps", raw[1].qps, 1)
+      .num("read_after_write_speedup", raw_speedup, 2)
+      .num("read_after_write_pr4_scache_hits", raw[0].scache_hits)
+      .num("read_after_write_pr5_scache_hits", raw[1].scache_hits)
+      .num("read_after_write_hit_rate", raw_hit_rate, 4)
+      .num("update_stream_mix_pr4_qps", mix_qps[0], 1)
+      .num("update_stream_mix_pr5_qps", mix_qps[1], 1)
+      .num("update_stream_mix_speedup", mix_speedup, 2)
+      .print();
+  std::cout << "\nExpected shape: write-stream >= 1.5x at byte-identical GET/PUT\n"
                "(pure fence amortization; acceptance bar), read-after-write hits\n"
                "go zero -> ~all (write-through), mix row smaller but positive\n"
                "(DHT translation and remote ids dilute the commit share).\n";

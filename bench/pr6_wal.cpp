@@ -107,22 +107,22 @@ int main() {
                            : " (DIVERGED beyond scheduler jitter!)")
             << "\n";
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr6_wal\",\n"
-            << "  \"description\": \"epoch WAL overhead on the group-commit "
-               "write stream (wal off vs on)\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"updates_per_rank\": 2000,\n"
-            << "  \"write_stream\": {\"wal_off_qps\": "
-            << stats::Table::fmt(off.qps, 1)
-            << ", \"wal_on_qps\": " << stats::Table::fmt(on.qps, 1)
-            << ", \"wal_ratio\": " << stats::Table::fmt(ratio, 4)
-            << ",\n    \"window_op_parity\": " << (ops_parity ? "true" : "false")
-            << ", \"wal_appends\": " << on.ops.wal_appends
-            << ", \"wal_fsyncs\": " << on.ops.wal_fsyncs
-            << ", \"appends_per_fsync\": "
-            << stats::Table::fmt(appends_per_fsync, 2) << "}\n}\n"
-            << "\nExpected shape: wal_ratio around 0.4 on this model -- the 20us\n"
+  Record()
+      .str("bench", "pr6_wal")
+      .str("description", "epoch WAL overhead on the group-commit write stream (wal off vs on)")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("updates_per_rank", 2000)
+      .num("wal_off_qps", off.qps, 1)
+      .num("wal_on_qps", on.qps, 1)
+      .num("wal_ratio", ratio, 4)
+      .flag("window_op_parity", ops_parity)
+      .num("wal_appends", on.ops.wal_appends)
+      .num("wal_fsyncs", on.ops.wal_fsyncs)
+      .num("appends_per_fsync", appends_per_fsync, 2)
+      .print();
+  std::cout << "\nExpected shape: wal_ratio around 0.4 on this model -- the 20us\n"
                "group fsync, even amortized over ~32 commits/epoch, adds ~0.6us\n"
                "to a ~0.8us pipelined commit; without the epoch grouping every\n"
                "commit would pay the full 20us (~25x, not ~2.4x). Window ops\n"

@@ -194,27 +194,28 @@ int main() {
             << fmt_pct(prow[0].hot_hit_rate) << " vs 2q "
             << fmt_pct(prow[1].hot_hit_rate) << "\n";
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr7_server\",\n"
-            << "  \"description\": \"multi-tenant scheduler (coalesce + shared epochs) "
-               "vs eager per-request; FIFO vs 2Q scache admission under HTAP scans\",\n"
-            << "  \"net\": \"xc50\", \"ranks\": " << P << ", \"scale\": " << scale
-            << ", \"tenants\": " << P * tenants << ",\n"
-            << "  \"server\": {\"eager_qps\": " << stats::Table::fmt(rows[0].qps, 1)
-            << ", \"sched_qps\": " << stats::Table::fmt(rows[1].qps, 1)
-            << ", \"speedup\": " << stats::Table::fmt(speedup, 2)
-            << ",\n    \"sched_p50_us\": " << stats::Table::fmt(rows[1].p50 / 1e3, 2)
-            << ", \"sched_p99_us\": " << stats::Table::fmt(rows[1].p99 / 1e3, 2)
-            << ", \"sched_p999_us\": " << stats::Table::fmt(rows[1].p999 / 1e3, 2)
-            << ",\n    \"coalesced_frac\": "
-            << stats::Table::fmt(rows[1].avg_coalesce, 4)
-            << ", \"epochs\": " << rows[1].epochs
-            << ", \"rejected\": " << rows[1].rejected << "},\n"
-            << "  \"htap\": {\"fifo_hot_hit_rate\": "
-            << stats::Table::fmt(prow[0].hot_hit_rate, 4)
-            << ", \"q2_hot_hit_rate\": " << stats::Table::fmt(prow[1].hot_hit_rate, 4)
-            << "}\n}\n"
-            << "\nExpected shape: scheduler >= 1x eager at 8 tenants (coalesced\n"
+  Record()
+      .str("bench", "pr7_server")
+      .str("description",
+           "multi-tenant scheduler (coalesce + shared epochs) vs eager per-request; "
+           "FIFO vs 2Q scache admission under HTAP scans")
+      .str("net", "xc50")
+      .num("ranks", P)
+      .num("scale", scale)
+      .num("tenants", P * tenants)
+      .num("eager_qps", rows[0].qps, 1)
+      .num("sched_qps", rows[1].qps, 1)
+      .num("sched_speedup", speedup, 2)
+      .num("sched_p50_us", rows[1].p50 / 1e3, 2)
+      .num("sched_p99_us", rows[1].p99 / 1e3, 2)
+      .num("sched_p999_us", rows[1].p999 / 1e3, 2)
+      .num("coalesced_frac", rows[1].avg_coalesce, 4)
+      .num("epochs", rows[1].epochs)
+      .num("rejected", rows[1].rejected)
+      .num("fifo_hot_hit_rate", prow[0].hot_hit_rate, 4)
+      .num("q2_hot_hit_rate", prow[1].hot_hit_rate, 4)
+      .print();
+  std::cout << "\nExpected shape: scheduler >= 1x eager at 8 tenants (coalesced\n"
                "reads amortize lookup/lock/fetch rounds; epoch commits amortize\n"
                "fences -- acceptance bar), tenant p99 spread tight (DRR), and\n"
                "2q hot hit rate >> fifo under the same scan interference.\n";

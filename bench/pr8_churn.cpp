@@ -201,26 +201,28 @@ int main() {
     }
   }
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr8_churn\",\n"
-            << "  \"description\": \"hash-partitioned DHT: compacted probe "
-               "flatness at 1/4/26 shards, churn-stream capacity reclaim\",\n"
-            << "  \"net\": \"xc40\", \"ranks\": " << P
-            << ", \"soak\": " << (soak ? "true" : "false")
-            << ", \"churn_rounds\": " << cc.rounds << ",\n"
-            << "  \"ppl_s1\": " << stats::Table::fmt(p1.ppl, 3)
-            << ", \"ppl_s4\": " << stats::Table::fmt(p4.ppl, 3)
-            << ", \"ppl_s26\": " << stats::Table::fmt(p26.ppl, 3)
-            << ", \"precompact_ppl_s26\": " << stats::Table::fmt(p26.precompact_ppl, 3)
-            << ", \"probe_flatness\": " << stats::Table::fmt(flatness, 3) << ",\n"
-            << "  \"reclaim_frac\": " << stats::Table::fmt(reclaim, 3)
-            << ", \"churn_ppl\": " << stats::Table::fmt(churn_ppl, 3)
-            << ", \"churn_kops\": " << stats::Table::fmt(churn_kops, 1)
-            << ", \"migrated\": " << migrated
-            << ", \"churn_shards\": " << churn_shards
-            << ", \"churn_clean\": " << churn_clean << "\n"
-            << "}\n"
-            << "\nExpected shape: compacted probes/lookup == 1.000 in every\n"
+  Record()
+      .str("bench", "pr8_churn")
+      .str("description",
+           "hash-partitioned DHT: compacted probe flatness at 1/4/26 shards, "
+           "churn-stream capacity reclaim")
+      .str("net", "xc40")
+      .num("ranks", P)
+      .flag("soak", soak)
+      .num("churn_rounds", cc.rounds)
+      .num("ppl_s1", p1.ppl, 3)
+      .num("ppl_s4", p4.ppl, 3)
+      .num("ppl_s26", p26.ppl, 3)
+      .num("precompact_ppl_s26", p26.precompact_ppl, 3)
+      .num("probe_flatness", flatness, 3)
+      .num("reclaim_frac", reclaim, 3)
+      .num("churn_ppl", churn_ppl, 3)
+      .num("churn_kops", churn_kops, 1)
+      .num("migrated", migrated)
+      .num("churn_shards", churn_shards)
+      .num("churn_clean", churn_clean)
+      .print();
+  std::cout << "\nExpected shape: compacted probes/lookup == 1.000 in every\n"
                "column (the PR 3 table scaled linearly in shard count), and the\n"
                "churn stream's reclaim fraction approaches 1 as freed slots are\n"
                "recycled by the cross-shard spill allocator.\n";

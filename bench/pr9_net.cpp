@@ -260,21 +260,23 @@ int main() {
              std::to_string(bad_frames) + "/" + std::to_string(disconnects)});
   std::cout << t.to_string();
 
-  std::cout << "\nJSON:\n{\n"
-            << "  \"bench\": \"pr9_net\",\n"
-            << "  \"description\": \"socket front end: wire serving, slow-reader "
-               "isolation, churn with seeded faults\",\n"
-            << "  \"ranks\": 1, \"tenants\": " << tenants
-            << ", \"per_tenant\": " << per_tenant << ",\n"
-            << "  \"wire_kqps\": " << stats::Table::fmt(wire_kqps, 1)
-            << ", \"committed_frac\": " << stats::Table::fmt(committed_frac, 4)
-            << ", \"isolation_frac\": " << stats::Table::fmt(isolation_frac, 4)
-            << ", \"churn_committed_frac\": " << stats::Table::fmt(churn_frac, 4)
-            << ",\n  \"slow_peak_buffered\": " << slow_peak_buffered
-            << ", \"reconnects\": " << reconnects
-            << ", \"bad_frames\": " << bad_frames << "\n"
-            << "}\n"
-            << "\nExpected shape: every completed fraction is 1.0000 -- the\n"
+  Record()
+      .str("bench", "pr9_net")
+      .str("description",
+           "socket front end: wire serving, slow-reader isolation, churn with "
+           "seeded faults")
+      .num("ranks", 1)
+      .num("tenants", tenants)
+      .num("per_tenant", per_tenant)
+      .num("wire_kqps", wire_kqps, 1)
+      .num("committed_frac", committed_frac, 4)
+      .num("isolation_frac", isolation_frac, 4)
+      .num("churn_committed_frac", churn_frac, 4)
+      .num("slow_peak_buffered", slow_peak_buffered)
+      .num("reconnects", reconnects)
+      .num("bad_frames", bad_frames)
+      .print();
+  std::cout << "\nExpected shape: every completed fraction is 1.0000 -- the\n"
                "transport never loses admitted work, a slow reader only stalls\n"
                "itself (its backlog is bounded by its credit window), and the\n"
                "churn stream completes exactly-once through reconnect-replay.\n";

@@ -9,7 +9,9 @@
 // that). See DESIGN.md section 2 for the substitution rationale.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 namespace gdi::rma {
 
@@ -61,162 +63,125 @@ struct NetParams {
   }
 };
 
-/// Per-rank operation counters; the raw material of the cost model and of the
-/// block-size / communication-volume ablations.
+// The one list of per-rank operation counters, the raw material of the cost
+// model and of the block-size / communication-volume ablations. Every other
+// list is generated from it: the OpCounters members (same order, zeroed), the
+// `+=` and `delta` folds, stats::counters_line, and the kOpCounterFields table
+// tools enumerate. An entry is X(name, kind): kind Sum is a monotone event
+// count (adds across ranks, subtracts across snapshots); kind Max is a
+// high-water mark (takes the max across ranks, and `delta` keeps the current
+// value, because a per-phase maximum cannot be recovered by subtraction).
+#define GDI_OP_COUNTERS(X)                                                    \
+  /* One-sided traffic, blocking and nonblocking alike; remote_ops is the     \
+     subset of puts/gets/atomics that crossed ranks. */                       \
+  X(puts, Sum)                                                                \
+  X(gets, Sum)                                                                \
+  X(atomics, Sum)                                                             \
+  X(flushes, Sum)                                                             \
+  X(collectives, Sum)                                                         \
+  X(bytes_put, Sum)                                                           \
+  X(bytes_get, Sum)                                                           \
+  X(remote_ops, Sum)                                                          \
+  /* Nonblocking engine: nb_* ops are also counted in puts/gets/atomics       \
+     (the same logical operations, just overlapped); batches are nonempty     \
+     flush_all() completion points, max_batch_ops the high-water count of     \
+     outstanding ops in one batch. */                                         \
+  X(nb_gets, Sum)                                                             \
+  X(nb_puts, Sum)                                                             \
+  X(nb_atomics, Sum)                                                          \
+  X(batches, Sum)                                                             \
+  X(max_batch_ops, Max)                                                       \
+  /* Per-transaction block cache (maintained by the GDI layer). */            \
+  X(cache_hits, Sum)                                                          \
+  X(cache_misses, Sum)                                                        \
+  /* Shared (inter-transaction) holder cache: hits skipped a whole holder     \
+     fetch, misses went to the wire, validations are lock-word checks         \
+     performed (every hit implies one), invalidations count dropped entries   \
+     (local write intent/writeback or an observed remote version change). */  \
+  X(scache_hits, Sum)                                                         \
+  X(scache_misses, Sum)                                                       \
+  X(scache_validations, Sum)                                                  \
+  X(scache_invalidations, Sum)                                                \
+  /* Batched heavy-edge fetch: completed multi-holder fetch_batch calls over  \
+     edge holders and the holders they covered (items / batches = mean edge   \
+     batch size). */                                                          \
+  X(edge_batches, Sum)                                                        \
+  X(edge_batch_items, Sum)                                                    \
+  /* Group-commit pipeline: epochs closed (each paid at most one overlapped   \
+     flush for every enrolled commit's writeback + unlocks) and commits       \
+     enrolled (enrolled / epochs = commits amortized per flush). */           \
+  X(gc_epochs, Sum)                                                           \
+  X(gc_enrolled, Sum)                                                         \
+  /* Write-through: shared-cache entries re-stamped at write_unlock_fetch     \
+     time (a rank's own write set staying warm instead of dying by            \
+     invalidation). */                                                        \
+  X(scache_restamps, Sum)                                                     \
+  /* Translation-memo epoch validation: bare translates served by the memo    \
+     under a matching DHT erase epoch (hits skip the whole DHT walk) vs memo  \
+     entries refuted by an epoch mismatch (fell back to the walk). */         \
+  X(xlate_hits, Sum)                                                          \
+  X(xlate_fallbacks, Sum)                                                     \
+  /* Epoch write-ahead log (src/wal/): commit records buffered into the open  \
+     epoch, group fsyncs paid at epoch seal (appends / fsyncs =               \
+     amortization), and epochs re-applied by log-replay recovery.             \
+     wal_io_errors counts failed log and checkpoint IO: sealed epochs         \
+     DROPPED because the segment could not be opened, written, flushed or     \
+     fsynced, failed directory fsyncs and failed checkpoint writes -- nonzero \
+     means the run was not fully durable. faults_injected counts              \
+     drop/delay/fail decisions taken by the rank's FaultInjector, if any. */  \
+  X(wal_appends, Sum)                                                         \
+  X(wal_fsyncs, Sum)                                                          \
+  X(wal_replayed_epochs, Sum)                                                 \
+  X(wal_io_errors, Sum)                                                       \
+  X(faults_injected, Sum)                                                     \
+  /* Multi-tenant front end (src/server/): requests the per-rank scheduler    \
+     completed, requests that shared a coalesced BatchScope execute with at   \
+     least one other client's request (coalesced / served = cross-client      \
+     batching rate), submissions shed by admission control (bounded           \
+     per-tenant in-flight or the global byte budget), and commit-pipeline     \
+     epochs whose close completed at least one scheduler-deferred commit      \
+     reply. */                                                                \
+  X(sched_served, Sum)                                                        \
+  X(sched_coalesced, Sum)                                                     \
+  X(sched_admission_rejects, Sum)                                             \
+  X(sched_epochs, Sum)                                                        \
+  /* Hash-partitioned DHT (src/dht/): bucket-head probe rounds issued by      \
+     lookup/erase walks (probe_rounds / lookups == 1 in the compacted steady  \
+     state, independent of shard count), entries rehomed by the online        \
+     migration pass, and freed entry slots reused by allocation (free-stack   \
+     pops -- reclaimed / frees is the capacity-recovery rate under churn). */ \
+  X(dht_probe_rounds, Sum)                                                    \
+  X(dht_migrated, Sum)                                                        \
+  X(dht_reclaimed, Sum)                                                       \
+  /* Socket front end (src/net/): connections accepted, frames decoded off /  \
+     fully written to the wire, malformed frames (bad magic/version/CRC,      \
+     oversize length, wrong-shaped body, credit overrun), write-blocked       \
+     transitions under credit-based backpressure (a slow reader stalling      \
+     only itself), and non-orderly connection drops (errors, timeouts,        \
+     supersedes, forced drain closes). */                                     \
+  X(net_accepted, Sum)                                                        \
+  X(net_frames_rx, Sum)                                                       \
+  X(net_frames_tx, Sum)                                                       \
+  X(net_bad_frames, Sum)                                                      \
+  X(net_backpressure_stalls, Sum)                                             \
+  X(net_disconnects, Sum)                                                     \
+  /* Exactly-once replay outcomes: a replayed completed write answered from   \
+     the reply cache (hit) vs one whose cached reply was already pruned       \
+     (miss -> typed Bye(kStaleReplay), never silent re-execution). */         \
+  X(net_replay_hits, Sum)                                                     \
+  X(net_replay_cache_misses, Sum)
+
+enum class CounterKind : std::uint8_t { Sum, Max };
+
+/// Per-rank operation counters: one zeroed std::uint64_t per GDI_OP_COUNTERS
+/// entry, in table order.
 struct OpCounters {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t atomics = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t collectives = 0;
-  std::uint64_t bytes_put = 0;
-  std::uint64_t bytes_get = 0;
-  std::uint64_t remote_ops = 0;  ///< subset of the above that crossed ranks
+#define GDI_OP_COUNTER_MEMBER(name, kind) std::uint64_t name = 0;
+  GDI_OP_COUNTERS(GDI_OP_COUNTER_MEMBER)
+#undef GDI_OP_COUNTER_MEMBER
 
-  // Nonblocking-engine counters. nb_* ops are also counted in puts/gets/
-  // atomics above (they are the same logical operations, just overlapped).
-  std::uint64_t nb_gets = 0;       ///< gets issued through the batch engine
-  std::uint64_t nb_puts = 0;       ///< puts issued through the batch engine
-  std::uint64_t nb_atomics = 0;    ///< atomics issued through the batch engine
-  std::uint64_t batches = 0;       ///< nonempty flush_all() completion points
-  std::uint64_t max_batch_ops = 0; ///< high-water outstanding ops in one batch
-
-  // Per-transaction block-cache counters (maintained by the GDI layer).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-
-  // Shared (inter-transaction) holder-cache counters: hits skipped a whole
-  // holder fetch, misses went to the wire, validations are lock-word checks
-  // performed (every hit implies one), invalidations count dropped entries
-  // (local write intent/writeback or an observed remote version change).
-  std::uint64_t scache_hits = 0;
-  std::uint64_t scache_misses = 0;
-  std::uint64_t scache_validations = 0;
-  std::uint64_t scache_invalidations = 0;
-
-  // Batched heavy-edge fetch: completed multi-holder Transaction::fetch_batch
-  // calls over edge holders and the holders they covered (items/batches =
-  // mean edge batch size).
-  std::uint64_t edge_batches = 0;
-  std::uint64_t edge_batch_items = 0;
-
-  // Group-commit pipeline: epochs closed (each paid at most one overlapped
-  // flush for every enrolled commit's writeback + unlocks) and commits
-  // enrolled (epochs/enrolled = mean commits amortized per flush).
-  std::uint64_t gc_epochs = 0;
-  std::uint64_t gc_enrolled = 0;
-
-  // Write-through: shared-cache entries re-stamped at write_unlock_fetch time
-  // (a rank's own write set staying warm instead of dying by invalidation).
-  std::uint64_t scache_restamps = 0;
-
-  // Translation-memo epoch validation: bare translates served by the memo
-  // under a matching DHT erase epoch (hits skip the whole DHT walk) vs
-  // memo entries refuted by an epoch mismatch (fell back to the walk).
-  std::uint64_t xlate_hits = 0;
-  std::uint64_t xlate_fallbacks = 0;
-
-  // Epoch write-ahead log (src/wal/): commit records buffered into the open
-  // epoch, group fsyncs paid at epoch seal (appends/fsyncs = amortization),
-  // and epochs re-applied by log-replay recovery. wal_io_errors counts
-  // failed log and checkpoint IO: sealed epochs DROPPED because the segment
-  // could not be opened, written, flushed or fsynced, failed directory
-  // fsyncs and failed checkpoint writes -- nonzero means the run was not
-  // fully durable. faults_injected counts
-  // drop/delay/fail decisions taken by the rank's FaultInjector, if any.
-  std::uint64_t wal_appends = 0;
-  std::uint64_t wal_fsyncs = 0;
-  std::uint64_t wal_replayed_epochs = 0;
-  std::uint64_t wal_io_errors = 0;
-  std::uint64_t faults_injected = 0;
-
-  // Multi-tenant front end (src/server/): requests the per-rank scheduler
-  // completed, requests that shared a coalesced BatchScope execute with at
-  // least one other client's request (coalesced/served = cross-client batching
-  // rate), submissions shed by admission control (bounded per-tenant in-flight
-  // or the global byte budget), and commit-pipeline epochs whose close
-  // completed at least one scheduler-deferred commit reply.
-  std::uint64_t sched_served = 0;
-  std::uint64_t sched_coalesced = 0;
-  std::uint64_t sched_admission_rejects = 0;
-  std::uint64_t sched_epochs = 0;
-
-  // Hash-partitioned DHT (src/dht/): bucket-head probe rounds issued by
-  // lookup/erase walks (probe_rounds / lookups == 1 in the compacted steady
-  // state, independent of shard count), entries rehomed by the online
-  // migration pass, and freed entry slots reused by allocation (free-stack
-  // pops -- reclaimed / frees is the capacity-recovery rate under churn).
-  std::uint64_t dht_probe_rounds = 0;
-  std::uint64_t dht_migrated = 0;
-  std::uint64_t dht_reclaimed = 0;
-
-  // Socket front end (src/net/): connections accepted, frames decoded off /
-  // fully written to the wire, malformed frames (bad magic/version/CRC,
-  // oversize length, wrong-shaped body, credit overrun), write-blocked
-  // transitions under credit-based backpressure (a slow reader stalling only
-  // itself), and non-orderly connection drops (errors, timeouts, supersedes,
-  // forced drain closes).
-  std::uint64_t net_accepted = 0;
-  std::uint64_t net_frames_rx = 0;
-  std::uint64_t net_frames_tx = 0;
-  std::uint64_t net_bad_frames = 0;
-  std::uint64_t net_backpressure_stalls = 0;
-  std::uint64_t net_disconnects = 0;
-  // Exactly-once replay outcomes: a replayed completed write answered from
-  // the reply cache (hit) vs. one whose cached reply was already pruned
-  // (miss -> typed Bye(kStaleReplay), never silent re-execution).
-  std::uint64_t net_replay_hits = 0;
-  std::uint64_t net_replay_cache_misses = 0;
-
-  OpCounters& operator+=(const OpCounters& o) {
-    puts += o.puts;
-    gets += o.gets;
-    atomics += o.atomics;
-    flushes += o.flushes;
-    collectives += o.collectives;
-    bytes_put += o.bytes_put;
-    bytes_get += o.bytes_get;
-    remote_ops += o.remote_ops;
-    nb_gets += o.nb_gets;
-    nb_puts += o.nb_puts;
-    nb_atomics += o.nb_atomics;
-    batches += o.batches;
-    max_batch_ops = max_batch_ops > o.max_batch_ops ? max_batch_ops : o.max_batch_ops;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    scache_hits += o.scache_hits;
-    scache_misses += o.scache_misses;
-    scache_validations += o.scache_validations;
-    scache_invalidations += o.scache_invalidations;
-    edge_batches += o.edge_batches;
-    edge_batch_items += o.edge_batch_items;
-    gc_epochs += o.gc_epochs;
-    gc_enrolled += o.gc_enrolled;
-    scache_restamps += o.scache_restamps;
-    xlate_hits += o.xlate_hits;
-    xlate_fallbacks += o.xlate_fallbacks;
-    wal_appends += o.wal_appends;
-    wal_fsyncs += o.wal_fsyncs;
-    wal_replayed_epochs += o.wal_replayed_epochs;
-    wal_io_errors += o.wal_io_errors;
-    faults_injected += o.faults_injected;
-    sched_served += o.sched_served;
-    sched_coalesced += o.sched_coalesced;
-    sched_admission_rejects += o.sched_admission_rejects;
-    sched_epochs += o.sched_epochs;
-    dht_probe_rounds += o.dht_probe_rounds;
-    dht_migrated += o.dht_migrated;
-    dht_reclaimed += o.dht_reclaimed;
-    net_accepted += o.net_accepted;
-    net_frames_rx += o.net_frames_rx;
-    net_frames_tx += o.net_frames_tx;
-    net_bad_frames += o.net_bad_frames;
-    net_backpressure_stalls += o.net_backpressure_stalls;
-    net_disconnects += o.net_disconnects;
-    net_replay_hits += o.net_replay_hits;
-    net_replay_cache_misses += o.net_replay_cache_misses;
-    return *this;
-  }
+  /// Sum-kind counters add, Max-kind counters take the maximum.
+  OpCounters& operator+=(const OpCounters& o);
 
   [[nodiscard]] std::uint64_t total_ops() const {
     return puts + gets + atomics + flushes + collectives;
@@ -225,61 +190,39 @@ struct OpCounters {
   /// Copy of the current counter values, for per-phase deltas in benches.
   [[nodiscard]] OpCounters snapshot() const { return *this; }
 
-  /// Counters accumulated since `since` (an earlier snapshot of this struct).
-  /// Monotone counters subtract; max_batch_ops is a high-water mark and keeps
-  /// its current value (a per-phase maximum cannot be recovered by
-  /// subtraction).
-  [[nodiscard]] OpCounters delta(const OpCounters& since) const {
-    OpCounters d;
-    d.puts = puts - since.puts;
-    d.gets = gets - since.gets;
-    d.atomics = atomics - since.atomics;
-    d.flushes = flushes - since.flushes;
-    d.collectives = collectives - since.collectives;
-    d.bytes_put = bytes_put - since.bytes_put;
-    d.bytes_get = bytes_get - since.bytes_get;
-    d.remote_ops = remote_ops - since.remote_ops;
-    d.nb_gets = nb_gets - since.nb_gets;
-    d.nb_puts = nb_puts - since.nb_puts;
-    d.nb_atomics = nb_atomics - since.nb_atomics;
-    d.batches = batches - since.batches;
-    d.max_batch_ops = max_batch_ops;
-    d.cache_hits = cache_hits - since.cache_hits;
-    d.cache_misses = cache_misses - since.cache_misses;
-    d.scache_hits = scache_hits - since.scache_hits;
-    d.scache_misses = scache_misses - since.scache_misses;
-    d.scache_validations = scache_validations - since.scache_validations;
-    d.scache_invalidations = scache_invalidations - since.scache_invalidations;
-    d.edge_batches = edge_batches - since.edge_batches;
-    d.edge_batch_items = edge_batch_items - since.edge_batch_items;
-    d.gc_epochs = gc_epochs - since.gc_epochs;
-    d.gc_enrolled = gc_enrolled - since.gc_enrolled;
-    d.scache_restamps = scache_restamps - since.scache_restamps;
-    d.xlate_hits = xlate_hits - since.xlate_hits;
-    d.xlate_fallbacks = xlate_fallbacks - since.xlate_fallbacks;
-    d.wal_appends = wal_appends - since.wal_appends;
-    d.wal_fsyncs = wal_fsyncs - since.wal_fsyncs;
-    d.wal_replayed_epochs = wal_replayed_epochs - since.wal_replayed_epochs;
-    d.wal_io_errors = wal_io_errors - since.wal_io_errors;
-    d.faults_injected = faults_injected - since.faults_injected;
-    d.sched_served = sched_served - since.sched_served;
-    d.sched_coalesced = sched_coalesced - since.sched_coalesced;
-    d.sched_admission_rejects = sched_admission_rejects - since.sched_admission_rejects;
-    d.sched_epochs = sched_epochs - since.sched_epochs;
-    d.dht_probe_rounds = dht_probe_rounds - since.dht_probe_rounds;
-    d.dht_migrated = dht_migrated - since.dht_migrated;
-    d.dht_reclaimed = dht_reclaimed - since.dht_reclaimed;
-    d.net_accepted = net_accepted - since.net_accepted;
-    d.net_frames_rx = net_frames_rx - since.net_frames_rx;
-    d.net_frames_tx = net_frames_tx - since.net_frames_tx;
-    d.net_bad_frames = net_bad_frames - since.net_bad_frames;
-    d.net_backpressure_stalls = net_backpressure_stalls - since.net_backpressure_stalls;
-    d.net_disconnects = net_disconnects - since.net_disconnects;
-    d.net_replay_hits = net_replay_hits - since.net_replay_hits;
-    d.net_replay_cache_misses =
-        net_replay_cache_misses - since.net_replay_cache_misses;
-    return d;
-  }
+  /// Counters accumulated since `since` (an earlier snapshot of this struct):
+  /// Sum-kind counters subtract, Max-kind counters keep their current value.
+  [[nodiscard]] OpCounters delta(const OpCounters& since) const;
 };
+
+/// One GDI_OP_COUNTERS entry, for code that enumerates the counters.
+struct OpCounterField {
+  const char* name;
+  std::uint64_t OpCounters::*member;
+  CounterKind kind;
+};
+
+inline constexpr OpCounterField kOpCounterFields[] = {
+#define GDI_OP_COUNTER_FIELD(name, kind) {#name, &OpCounters::name, CounterKind::kind},
+    GDI_OP_COUNTERS(GDI_OP_COUNTER_FIELD)
+#undef GDI_OP_COUNTER_FIELD
+};
+
+// Every member comes from the table: a field declared outside it fails here.
+static_assert(sizeof(OpCounters) == std::size(kOpCounterFields) * sizeof(std::uint64_t));
+
+inline OpCounters& OpCounters::operator+=(const OpCounters& o) {
+  for (const OpCounterField& f : kOpCounterFields)
+    this->*f.member = f.kind == CounterKind::Max ? std::max(this->*f.member, o.*f.member)
+                                                 : this->*f.member + o.*f.member;
+  return *this;
+}
+
+inline OpCounters OpCounters::delta(const OpCounters& since) const {
+  OpCounters d = *this;
+  for (const OpCounterField& f : kOpCounterFields)
+    if (f.kind == CounterKind::Sum) d.*f.member -= since.*f.member;
+  return d;
+}
 
 }  // namespace gdi::rma

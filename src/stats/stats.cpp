@@ -103,94 +103,16 @@ std::string Histogram::to_string(int max_rows) const {
 }
 
 std::string counters_line(const rma::OpCounters& c) {
-  std::ostringstream os;
-  os << "ops: gets=" << Table::fmt_si(static_cast<double>(c.gets), 1) << " (nb "
-     << Table::fmt_si(static_cast<double>(c.nb_gets), 1) << ")"
-     << " puts=" << Table::fmt_si(static_cast<double>(c.puts), 1) << " (nb "
-     << Table::fmt_si(static_cast<double>(c.nb_puts), 1) << ")"
-     << " atomics=" << Table::fmt_si(static_cast<double>(c.atomics), 1) << " (nb "
-     << Table::fmt_si(static_cast<double>(c.nb_atomics), 1) << ")"
-     << " remote=" << Table::fmt_si(static_cast<double>(c.remote_ops), 1)
-     << " | batches=" << Table::fmt_si(static_cast<double>(c.batches), 1)
-     << " max_depth=" << c.max_batch_ops << " | cache "
-     << Table::fmt(cache_hit_rate(c) * 100.0, 1) << "% hit ("
-     << Table::fmt_si(static_cast<double>(c.cache_hits), 1) << "/"
-     << Table::fmt_si(static_cast<double>(c.cache_hits + c.cache_misses), 1) << ")"
-     << " | scache " << Table::fmt(scache_hit_rate(c) * 100.0, 1) << "% hit ("
-     << Table::fmt_si(static_cast<double>(c.scache_hits), 1) << "/"
-     << Table::fmt_si(static_cast<double>(c.scache_hits + c.scache_misses), 1)
-     << " v=" << Table::fmt_si(static_cast<double>(c.scache_validations), 1)
-     << " i=" << Table::fmt_si(static_cast<double>(c.scache_invalidations), 1);
-  if (c.scache_restamps > 0)
-    os << " r=" << Table::fmt_si(static_cast<double>(c.scache_restamps), 1);
-  os << ")";
-  if (c.edge_batches > 0) {
-    os << " | edge batches=" << Table::fmt_si(static_cast<double>(c.edge_batches), 1)
-       << " avg_size="
-       << Table::fmt(static_cast<double>(c.edge_batch_items) /
-                         static_cast<double>(c.edge_batches),
-                     1);
+  std::string line;
+  for (const rma::OpCounterField& f : rma::kOpCounterFields) {
+    const std::uint64_t v = c.*f.member;
+    if (v == 0) continue;
+    if (!line.empty()) line += ' ';
+    line += f.name;
+    line += '=';
+    line += v < 1000 ? std::to_string(v) : Table::fmt_si(static_cast<double>(v), 1);
   }
-  if (c.gc_epochs > 0) {
-    os << " | gc epochs=" << Table::fmt_si(static_cast<double>(c.gc_epochs), 1)
-       << " commits/epoch="
-       << Table::fmt(static_cast<double>(c.gc_enrolled) /
-                         static_cast<double>(c.gc_epochs),
-                     1);
-  }
-  if (c.xlate_hits + c.xlate_fallbacks > 0) {
-    os << " | xlate hits=" << Table::fmt_si(static_cast<double>(c.xlate_hits), 1)
-       << " fallbacks=" << Table::fmt_si(static_cast<double>(c.xlate_fallbacks), 1);
-  }
-  if (c.wal_appends > 0 || c.wal_fsyncs > 0) {
-    os << " | wal appends=" << Table::fmt_si(static_cast<double>(c.wal_appends), 1)
-       << " fsyncs=" << Table::fmt_si(static_cast<double>(c.wal_fsyncs), 1);
-    if (c.wal_fsyncs > 0)
-      os << " appends/fsync="
-         << Table::fmt(static_cast<double>(c.wal_appends) /
-                           static_cast<double>(c.wal_fsyncs),
-                       1);
-    if (c.wal_replayed_epochs > 0)
-      os << " replayed="
-         << Table::fmt_si(static_cast<double>(c.wal_replayed_epochs), 1);
-  }
-  if (c.sched_served > 0 || c.sched_admission_rejects > 0) {
-    os << " | sched served=" << Table::fmt_si(static_cast<double>(c.sched_served), 1)
-       << " coalesced=" << Table::fmt_si(static_cast<double>(c.sched_coalesced), 1)
-       << " rejects="
-       << Table::fmt_si(static_cast<double>(c.sched_admission_rejects), 1);
-    if (c.sched_epochs > 0)
-      os << " epochs=" << Table::fmt_si(static_cast<double>(c.sched_epochs), 1);
-  }
-  if (c.dht_probe_rounds > 0 || c.dht_migrated > 0 || c.dht_reclaimed > 0) {
-    os << " | dht probes=" << Table::fmt_si(static_cast<double>(c.dht_probe_rounds), 1)
-       << " migrated=" << Table::fmt_si(static_cast<double>(c.dht_migrated), 1)
-       << " reclaimed=" << Table::fmt_si(static_cast<double>(c.dht_reclaimed), 1);
-  }
-  if (c.net_accepted > 0 || c.net_frames_rx > 0 || c.net_bad_frames > 0) {
-    os << " | net accepted=" << Table::fmt_si(static_cast<double>(c.net_accepted), 1)
-       << " rx=" << Table::fmt_si(static_cast<double>(c.net_frames_rx), 1)
-       << " tx=" << Table::fmt_si(static_cast<double>(c.net_frames_tx), 1);
-    if (c.net_bad_frames > 0)
-      os << " bad=" << Table::fmt_si(static_cast<double>(c.net_bad_frames), 1);
-    if (c.net_backpressure_stalls > 0)
-      os << " stalls="
-         << Table::fmt_si(static_cast<double>(c.net_backpressure_stalls), 1);
-    if (c.net_disconnects > 0)
-      os << " drops=" << Table::fmt_si(static_cast<double>(c.net_disconnects), 1);
-    if (c.net_replay_hits > 0)
-      os << " replay_hits="
-         << Table::fmt_si(static_cast<double>(c.net_replay_hits), 1);
-    if (c.net_replay_cache_misses > 0)
-      os << " replay_misses="
-         << Table::fmt_si(static_cast<double>(c.net_replay_cache_misses), 1);
-  }
-  if (c.wal_io_errors > 0)
-    os << " | wal DROPPED epochs="
-       << Table::fmt_si(static_cast<double>(c.wal_io_errors), 1);
-  if (c.faults_injected > 0)
-    os << " | faults=" << Table::fmt_si(static_cast<double>(c.faults_injected), 1);
-  return os.str();
+  return line;
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}

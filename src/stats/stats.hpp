@@ -85,8 +85,8 @@ class LatencyHist {
   Histogram h_;
 };
 
-/// One-line rendering of RMA op counters for bench output: blocking vs
-/// nonblocking op mix, batch statistics, and block-cache hit rate.
+/// One-line rendering of RMA op counters for bench output: every nonzero
+/// counter as `name=value` (SI-abbreviated from 1000 up), in GDI_OP_COUNTERS order.
 [[nodiscard]] std::string counters_line(const rma::OpCounters& c);
 
 /// Block-cache hit rate in [0,1]; 0 when the cache saw no traffic.

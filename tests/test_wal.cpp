@@ -30,16 +30,19 @@
 // a fatal ASSERT would return from one rank's lambda and deadlock the team.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gdi/gdi.hpp"
 #include "rma/fault.hpp"
 #include "rma/window.hpp"
+#include "stats/stats.hpp"
 #include "wal/wal.hpp"
 
 namespace gdi {
@@ -811,6 +814,45 @@ TEST(OpCounters, SnapshotDeltaIsolatesAPhase) {
   EXPECT_EQ(d.wal_appends, 1u);
   EXPECT_EQ(d.wal_fsyncs, 1u);
   EXPECT_EQ(d.faults_injected, 2u);
+}
+
+TEST(OpCounters, EveryTableEntryFoldsSubtractsAndPrints) {
+  // Distinct values per entry; every entry of `a` exceeds every entry of `b`,
+  // so delta never wraps and the Max entry's maximum is `a`'s value.
+  rma::OpCounters a, b;
+  std::uint64_t i = 0;
+  for (const rma::OpCounterField& f : rma::kOpCounterFields) {
+    a.*f.member = 1000 + 2 * i;
+    b.*f.member = 1 + i;
+    ++i;
+  }
+  rma::OpCounters ab = a;
+  ab += b;
+  rma::OpCounters ba = b;
+  ba += a;
+  const rma::OpCounters d = a.delta(b);
+  for (const rma::OpCounterField& f : rma::kOpCounterFields) {
+    SCOPED_TRACE(f.name);
+    const bool is_max = f.kind == rma::CounterKind::Max;
+    EXPECT_EQ(is_max, std::string(f.name) == "max_batch_ops");
+    const std::uint64_t folded = is_max ? a.*f.member : a.*f.member + b.*f.member;
+    EXPECT_EQ(ab.*f.member, folded);
+    EXPECT_EQ(ba.*f.member, folded);
+    EXPECT_EQ(d.*f.member, is_max ? a.*f.member : a.*f.member - b.*f.member);
+  }
+
+  auto printed_names = [](const rma::OpCounters& c) {
+    std::vector<std::string> names;
+    std::istringstream line(stats::counters_line(c));
+    for (std::string tok; line >> tok;) names.push_back(tok.substr(0, tok.find('=')));
+    return names;
+  };
+  std::vector<std::string> all;
+  for (const rma::OpCounterField& f : rma::kOpCounterFields) all.emplace_back(f.name);
+  EXPECT_EQ(printed_names(a), all);
+  a.gets = 0;
+  all.erase(std::find(all.begin(), all.end(), "gets"));
+  EXPECT_EQ(printed_names(a), all);
 }
 
 }  // namespace

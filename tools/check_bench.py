@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """CI bench-regression gate.
 
-Runs the BENCH_SMOKE=1 benches, parses the JSON blob each bench prints after
-its table, and compares the tracked metrics against the "smoke" sections of
-the committed baseline files (BENCH_pr2.json / BENCH_pr3.json). A tracked
+Runs the BENCH_SMOKE=1 benches listed in BENCHES, parses the flat
+bench::Record JSON blob each bench prints after its table, and compares
+record[key] for every key of the bench's smoke[<smoke key>] map in its
+committed baseline file (BENCH_pr2.json ... BENCH_pr10.json). A tracked
 metric that lands more than --threshold (default 15%) below its baseline
 fails the gate; the merged run report is written to --out for upload as a
-workflow artifact. A bench that crashes (or prints no JSON) is recorded as a
-failure, the remaining benches still run and print, and the gate exits
-non-zero.
+workflow artifact. A bench that crashes, hangs past its timeout or prints no
+JSON is recorded as a failure, the remaining benches still run and print,
+and the gate exits non-zero.
 
 All tracked metrics come from the simulated LogGP clock, so they are
 machine-independent; residual variance comes only from thread interleaving
@@ -17,6 +18,8 @@ re-run, and the better value counts -- a real regression fails twice.
 
 Refresh the baselines after an intentional perf change with:
     python3 tools/check_bench.py --build-dir build --update-baselines
+which raises a baseline to its minimum over --baseline-runs runs only when
+that minimum clears the committed value by RAISE_FACTOR, and never lowers one.
 """
 
 import argparse
@@ -29,225 +32,106 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def pr2_metrics(parsed):
-    """Tracked metrics of bench_pr2_async_oltp (higher is better)."""
-    out = {}
-    for row in parsed["mixes"]:
-        out[f"{row['mix']}/serial_qps"] = row["serial_qps"]
-        out[f"{row['mix']}/batched_qps"] = row["batched_qps"]
-    return out
-
-
-def pr2_baseline_metrics(smoke):
-    return pr2_metrics(smoke)
-
-
-def pr3_metrics(parsed):
-    """Tracked metrics of bench_pr3_dht_growth (higher is better)."""
-    return {
-        "insert_many_speedup": parsed["insert_many_speedup"],
-        "bulk_load_mvps": parsed["bulk_load_mvps"],
-    }
-
-
-def pr3_baseline_metrics(smoke):
-    return {k: smoke[k] for k in ("insert_many_speedup", "bulk_load_mvps")}
-
-
-def pr4_oltp_metrics(parsed):
-    """Tracked metrics of bench_pr4_cached_oltp (higher is better)."""
-    out = {}
-    for row in parsed["mixes"]:
-        out[f"{row['mix']}/cold_qps"] = row["cold_qps"]
-        out[f"{row['mix']}/warm_qps"] = row["warm_qps"]
-    return out
-
-
-def pr4_edge_metrics(parsed):
-    """Tracked metrics of bench_pr4_edge_batch (higher is better)."""
-    return {
-        "edge_batch_speedup": parsed["edge_batch_speedup"],
-        "batched_avg_edge_batch": parsed["batched_avg_edge_batch"],
-    }
-
-
-def pr5_metrics(parsed):
-    """Tracked metrics of bench_pr5_group_commit (higher is better): the
-    group-commit write-stream win and the write-through read-after-own-write
-    hit rate, plus the absolute pr5-mode throughputs so a regression in the
-    new path fails even if the baseline path regresses in lockstep."""
-    return {
-        "write_stream_speedup": parsed["write_stream"]["speedup"],
-        "write_stream_pr5_qps": parsed["write_stream"]["pr5_qps"],
-        "read_after_write_hit_rate": parsed["read_after_write"]["pr5_hit_rate"],
-        "read_after_write_pr5_qps": parsed["read_after_write"]["pr5_qps"],
-    }
-
-
-def pr6_metrics(parsed):
-    """Tracked metrics of bench_pr6_wal (higher is better): absolute WAL-on
-    write-stream throughput, the on/off ratio (catches the WAL's modeled
-    overhead creeping up even if the whole write path speeds up), and the
-    group-fsync amortization factor (appends per fsync ~ commits per flush
-    epoch -- a drop means the epoch log stopped riding the pipeline)."""
-    return {
-        "wal_on_qps": parsed["write_stream"]["wal_on_qps"],
-        "wal_ratio": parsed["write_stream"]["wal_ratio"],
-        "appends_per_fsync": parsed["write_stream"]["appends_per_fsync"],
-    }
-
-
-def pr7_metrics(parsed):
-    """Tracked metrics of bench_pr7_server (higher is better): absolute
-    scheduler-mode throughput, the scheduler/eager ratio at 8 tenants
-    (catches the coalescing or epoch-sharing win eroding even if both modes
-    drift together), and the 2Q hot-set hit rate under HTAP scan
-    interference (the scan-resistance win of the new admission policy)."""
-    return {
-        "sched_qps": parsed["server"]["sched_qps"],
-        "sched_speedup": parsed["server"]["speedup"],
-        "q2_hot_hit_rate": parsed["htap"]["q2_hot_hit_rate"],
-    }
-
-
-def pr8_metrics(parsed):
-    """Tracked metrics of bench_pr8_churn (higher is better): probe flatness
-    (compacted probe rounds per lookup at 1 shard over 26 shards -- 1.0 means
-    lookup cost is independent of shard count, the partition's core
-    guarantee), the churn stream's capacity-reclaim fraction (freed slots
-    reused by later allocations instead of stranding), and the absolute
-    churn-stream throughput."""
-    return {
-        "probe_flatness": parsed["probe_flatness"],
-        "reclaim_frac": parsed["reclaim_frac"],
-        "churn_kops": parsed["churn_kops"],
-    }
-
-
-def pr9_metrics(parsed):
-    """Tracked metrics of bench_pr9_net (higher is better). All three are
-    completion fractions with an expected value of exactly 1.0 -- wall-clock
-    socket throughput is machine-dependent, but "every admitted request is
-    answered exactly once" is not: the committed fraction over plain socket
-    streams, the fast tenants' fraction while a slow reader stalls its own
-    window (backpressure isolation), and the committed fraction under seeded
-    corrupt/truncate/disconnect/reorder churn with reconnect-replay."""
-    return {
-        "committed_frac": parsed["committed_frac"],
-        "isolation_frac": parsed["isolation_frac"],
-        "churn_committed_frac": parsed["churn_committed_frac"],
-    }
-
-
-def pr10_metrics(parsed):
-    """Tracked metrics of bench_pr10_recovery (higher is better). Both are
-    fractions with an expected value of exactly 1.0: the committed fraction
-    across a pre-ack server kill + recover-integrated restart (no admitted
-    increment lost or double-executed), and the replay hit rate -- every
-    completed write replayed at the recovered server answered from the
-    WAL-rebuilt reply cache, never re-executed. The bench binary additionally
-    exits nonzero unless both are exactly 1.0 and at least one kill fired."""
-    return {
-        "committed_frac": parsed["committed_frac"],
-        "replay_hit_rate": parsed["replay_hit_rate"],
-    }
-
-
-# Benches with a "smoke_key" share one baseline file: their smoke metrics
-# live under baseline["smoke"][smoke_key] as a flat metric->value dict.
+# (bench binary, baseline file, smoke key). Each bench prints one flat
+# bench::Record; the gate reads record[key] for every key of the baseline's
+# smoke[smoke_key] map, so gating one more metric is one more key there.
+# Every tracked metric is higher-is-better.
 BENCHES = [
-    {
-        "bin": "bench_pr2_async_oltp",
-        "baseline": "BENCH_pr2.json",
-        "metrics": pr2_metrics,
-        "baseline_metrics": pr2_baseline_metrics,
-    },
-    {
-        "bin": "bench_pr3_dht_growth",
-        "baseline": "BENCH_pr3.json",
-        "metrics": pr3_metrics,
-        "baseline_metrics": pr3_baseline_metrics,
-    },
-    {
-        "bin": "bench_pr4_cached_oltp",
-        "baseline": "BENCH_pr4.json",
-        "smoke_key": "cached_oltp",
-        "metrics": pr4_oltp_metrics,
-    },
-    {
-        "bin": "bench_pr4_edge_batch",
-        "baseline": "BENCH_pr4.json",
-        "smoke_key": "edge_batch",
-        "metrics": pr4_edge_metrics,
-    },
-    {
-        "bin": "bench_pr5_group_commit",
-        "baseline": "BENCH_pr5.json",
-        "smoke_key": "group_commit",
-        "metrics": pr5_metrics,
-    },
-    {
-        "bin": "bench_pr6_wal",
-        "baseline": "BENCH_pr6.json",
-        "smoke_key": "wal",
-        "metrics": pr6_metrics,
-    },
-    {
-        "bin": "bench_pr7_server",
-        "baseline": "BENCH_pr7.json",
-        "smoke_key": "server",
-        "metrics": pr7_metrics,
-    },
-    {
-        "bin": "bench_pr8_churn",
-        "baseline": "BENCH_pr8.json",
-        "smoke_key": "churn",
-        "metrics": pr8_metrics,
-    },
-    {
-        "bin": "bench_pr9_net",
-        "baseline": "BENCH_pr9.json",
-        "smoke_key": "net",
-        "metrics": pr9_metrics,
-    },
-    {
-        "bin": "bench_pr10_recovery",
-        "baseline": "BENCH_pr10.json",
-        "smoke_key": "recovery",
-        "metrics": pr10_metrics,
-    },
+    # OLTP point-read qps per mix: serial txn-per-query vs BatchScope groups.
+    ("bench_pr2_async_oltp", "BENCH_pr2.json", "async_oltp"),
+    # insert_many over serial inserts, and bulk-load rate at 1/8 provisioning.
+    ("bench_pr3_dht_growth", "BENCH_pr3.json", "dht_growth"),
+    # Cold vs warm (shared-cache) qps per mix over a hot set.
+    ("bench_pr4_cached_oltp", "BENCH_pr4.json", "cached_oltp"),
+    # Batched heavy-edge fetch: speedup over serial holder fetches and the
+    # mean number of holders one batch covers.
+    ("bench_pr4_edge_batch", "BENCH_pr4.json", "edge_batch"),
+    # The group-commit write-stream win and the write-through
+    # read-after-own-write hit rate, plus the absolute pr5-mode throughputs so
+    # a regression in the new path fails even if the baseline path regresses
+    # in lockstep.
+    ("bench_pr5_group_commit", "BENCH_pr5.json", "group_commit"),
+    # Absolute WAL-on write-stream throughput, the on/off ratio (catches the
+    # WAL's modeled overhead creeping up even if the whole write path speeds
+    # up), and the group-fsync amortization factor (appends per fsync ~
+    # commits per flush epoch -- a drop means the epoch log stopped riding
+    # the pipeline).
+    ("bench_pr6_wal", "BENCH_pr6.json", "wal"),
+    # Absolute scheduler-mode throughput, the scheduler/eager ratio at 8
+    # tenants (catches the coalescing or epoch-sharing win eroding even if
+    # both modes drift together), and the 2Q hot-set hit rate under HTAP scan
+    # interference (the scan-resistance win of the admission policy).
+    ("bench_pr7_server", "BENCH_pr7.json", "server"),
+    # Probe flatness (compacted probe rounds per lookup at 1 shard over 26
+    # shards -- 1.0 means lookup cost is independent of shard count, the
+    # partition's core guarantee), the churn stream's capacity-reclaim
+    # fraction (freed slots reused by later allocations instead of
+    # stranding), and the absolute churn-stream throughput.
+    ("bench_pr8_churn", "BENCH_pr8.json", "churn"),
+    # Three completion fractions with an expected value of exactly 1.0 --
+    # wall-clock socket throughput is machine-dependent, but "every admitted
+    # request is answered exactly once" is not: the committed fraction over
+    # plain socket streams, the fast tenants' fraction while a slow reader
+    # stalls its own window (backpressure isolation), and the committed
+    # fraction under seeded corrupt/truncate/disconnect/reorder churn with
+    # reconnect-replay.
+    ("bench_pr9_net", "BENCH_pr9.json", "net"),
+    # Two fractions with an expected value of exactly 1.0: the committed
+    # fraction across a pre-ack server kill + recover-integrated restart (no
+    # admitted increment lost or double-executed), and the replay hit rate --
+    # every completed write replayed at the recovered server answered from
+    # the WAL-rebuilt reply cache, never re-executed. The bench binary also
+    # exits nonzero unless both are exactly 1.0 and at least one kill fired.
+    ("bench_pr10_recovery", "BENCH_pr10.json", "recovery"),
 ]
+
+# --update-baselines raises a committed baseline only when the new minimum
+# is at least this factor above it, and never lowers one.
+RAISE_FACTOR = 1.25
+
+BENCH_TIMEOUT_S = 1800
 
 
 class BenchError(Exception):
-    """A bench that could not produce metrics (missing, crashed, no JSON).
-    The gate records it as a failure and goes on with the remaining benches."""
+    """A bench that could not produce metrics (missing, crashed, hung, no
+    JSON). The gate records it as a failure and goes on with the remaining
+    benches."""
 
 
 def run_bench(build_dir, name):
+    """Run one bench in smoke mode and return its bench::Record as a dict."""
     exe = pathlib.Path(build_dir) / name
     if not exe.exists():
         raise BenchError(f"bench binary not found: {exe}")
     env = dict(os.environ, BENCH_SMOKE="1")
-    proc = subprocess.run([str(exe)], capture_output=True, text=True, env=env,
-                          timeout=1800)
+    try:
+        proc = subprocess.run([str(exe)], capture_output=True, text=True,
+                              env=env, timeout=BENCH_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise BenchError(f"timed out after {BENCH_TIMEOUT_S}s") from None
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise BenchError(f"exited with {proc.returncode}")
     marker = proc.stdout.find("JSON:")
     if marker < 0:
         raise BenchError("printed no JSON blob")
-    blob = proc.stdout[marker + len("JSON:"):]
-    start = blob.find("{")
-    depth = 0
-    for i, ch in enumerate(blob[start:], start):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return json.loads(blob[start:i + 1])
-    raise BenchError("printed an unterminated JSON blob")
+    try:
+        record, _ = json.JSONDecoder().raw_decode(
+            proc.stdout[marker + len("JSON:"):].lstrip())
+    except json.JSONDecodeError as e:
+        raise BenchError(f"printed a malformed JSON blob: {e}") from None
+    return record
+
+
+def tracked(record, keys):
+    """The tracked metrics of one bench run: record[key] for each key."""
+    out = {}
+    for key in keys:
+        val = record.get(key)
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise BenchError(f"run is missing tracked metric {key}")
+        out[key] = val
+    return out
 
 
 def write_step_summary(report, regressions):
@@ -275,7 +159,7 @@ def write_step_summary(report, regressions):
         for key, row in entry["metrics"].items():
             status = ":white_check_mark:" if row["ok"] else ":x: regression"
             lines.append(
-                f"| {name} | {key} | {row['run']:.1f} | {row['baseline']:.1f} "
+                f"| {name} | {key} | {row['run']:.4g} | {row['baseline']:.4g} "
                 f"| {row['ratio'] * 100:.1f}% | {status} |")
     lines.append("")
     lines.append("All tracked metrics within threshold." if not regressions
@@ -286,72 +170,58 @@ def write_step_summary(report, regressions):
 
 
 def gate_bench(bench, args, report, regressions):
-    """Run one bench and gate (or, with --update-baselines, record) its
+    """Run one bench and gate (or, with --update-baselines, refresh) its
     tracked metrics; raises BenchError when the bench yields none."""
-    name = bench["bin"]
-    parsed = run_bench(args.build_dir, name)
-    metrics = bench["metrics"](parsed)
-    baseline_path = REPO / bench["baseline"]
+    name, baseline_file, smoke_key = bench
+    baseline_path = REPO / baseline_file
     baseline_doc = json.loads(baseline_path.read_text())
+    base = baseline_doc.get("smoke", {}).get(smoke_key)
+    if not base:
+        sys.exit(f"error: {baseline_path.name} has no smoke baselines "
+                 f"for {smoke_key}")
+    record = run_bench(args.build_dir, name)
+    metrics = tracked(record, base)
 
     if args.update_baselines:
         # Per-metric minimum over several runs: with higher-is-better
-        # metrics, a conservative baseline spends none of the threshold
-        # on interleaving noise while still catching real regressions.
+        # metrics, a conservative baseline spends none of the threshold on
+        # interleaving noise. A baseline only ever rises, and only by a
+        # clear margin, so a noisy refresh cannot loosen the gate.
         for _ in range(max(args.baseline_runs - 1, 0)):
-            extra = bench["metrics"](run_bench(args.build_dir, name))
+            extra = tracked(run_bench(args.build_dir, name), base)
             for key, val in extra.items():
                 metrics[key] = min(metrics[key], val)
-        smoke = baseline_doc.setdefault("smoke", {})
-        if "smoke_key" in bench:
-            smoke[bench["smoke_key"]] = metrics
-        elif name == "bench_pr2_async_oltp":
-            smoke["mixes"] = [
-                {"mix": row["mix"],
-                 "serial_qps": metrics[f"{row['mix']}/serial_qps"],
-                 "batched_qps": metrics[f"{row['mix']}/batched_qps"]}
-                for row in parsed["mixes"]
-            ]
-        else:
-            smoke.update(metrics)
-        baseline_path.write_text(json.dumps(baseline_doc, indent=2) + "\n")
-        print(f"{name}: baselines updated in {baseline_path.name} "
-              f"(min over {args.baseline_runs} runs)")
-        report["benches"][name] = {"run": metrics, "updated": True}
+        raised = {key: val for key, val in metrics.items()
+                  if val >= base[key] * RAISE_FACTOR}
+        for key, val in metrics.items():
+            verdict = "raised" if key in raised else "kept"
+            print(f"{name:26s} {key:30s} min {val:>12.4g} vs committed "
+                  f"{base[key]:>12.4g}  {verdict}")
+        if raised:
+            base.update(raised)
+            baseline_path.write_text(json.dumps(baseline_doc, indent=2) + "\n")
+        report["benches"][name] = {"run": metrics, "raised": sorted(raised)}
         return
-
-    if "smoke" not in baseline_doc:
-        sys.exit(f"error: {baseline_path.name} has no smoke baselines; "
-                 "run with --update-baselines first")
-    if "smoke_key" in bench:
-        base = dict(baseline_doc["smoke"].get(bench["smoke_key"]) or {})
-        if not base:
-            sys.exit(f"error: {baseline_path.name} has no smoke baselines "
-                     f"for {bench['smoke_key']}; run --update-baselines")
-    else:
-        base = bench["baseline_metrics"](baseline_doc["smoke"])
 
     rows = {}
     rerun = None
     for key, base_val in base.items():
-        val = metrics.get(key)
-        if val is None:
-            raise BenchError(f"run is missing tracked metric {key}")
+        val = metrics[key]
         if val < base_val * (1.0 - args.threshold) and rerun is None:
             # One re-run absorbs interleaving noise; keep the better value.
-            rerun = bench["metrics"](run_bench(args.build_dir, name))
+            rerun = tracked(run_bench(args.build_dir, name), base)
         if rerun is not None:
-            val = max(val, rerun.get(key, val))
+            val = max(val, rerun[key])
         ratio = val / base_val if base_val else float("inf")
         ok = val >= base_val * (1.0 - args.threshold)
         rows[key] = {"run": val, "baseline": base_val,
                      "ratio": round(ratio, 4), "ok": ok}
         status = "ok " if ok else "REGRESSION"
-        print(f"{name:26s} {key:30s} {val:>14.1f} vs {base_val:>14.1f} "
+        print(f"{name:26s} {key:30s} {val:>14.4g} vs {base_val:>14.4g} "
               f"({ratio * 100:6.1f}%)  {status}")
         if not ok:
             regressions.append(f"{name}: {key} {ratio * 100:.1f}% of baseline")
-    report["benches"][name] = {"metrics": rows, "json": parsed}
+    report["benches"][name] = {"metrics": rows, "json": record}
 
 
 def main():
@@ -362,9 +232,12 @@ def main():
     ap.add_argument("--out", default="bench_smoke.json",
                     help="merged run report (workflow artifact)")
     ap.add_argument("--update-baselines", action="store_true",
-                    help="write fresh metrics into the baseline files' smoke "
-                         "sections instead of gating")
-    ap.add_argument("--baseline-runs", type=int, default=3,
+                    help="instead of gating, raise each smoke baseline to the "
+                         "per-metric minimum over --baseline-runs runs when "
+                         f"that minimum is >= {RAISE_FACTOR * 100:.0f}%% of "
+                         "the committed value; "
+                         "never lower one")
+    ap.add_argument("--baseline-runs", type=int, default=5,
                     help="runs per bench when updating baselines; the per-"
                          "metric minimum is recorded so interleaving noise "
                          "eats into the threshold as little as possible")
@@ -374,7 +247,7 @@ def main():
     regressions = []
 
     for bench in BENCHES:
-        name = bench["bin"]
+        name = bench[0]
         try:
             gate_bench(bench, args, report, regressions)
         except BenchError as e:
