@@ -21,6 +21,9 @@
 //
 // Emits a paper-style table plus a JSON blob (committed as BENCH_pr8.json);
 // tools/check_bench.py tracks the smoke-mode metrics in CI.
+#include <cstdio>
+#include <cstdlib>
+
 #include "harness.hpp"
 #include "workloads/churn.hpp"
 
@@ -49,13 +52,21 @@ ProbePoint probe_contract(int P, const gdi::rma::NetParams& net,
     const std::uint64_t keys_per_rank = (target_shards - 1) * cfg.entries_per_rank + 32;
     const auto base = (static_cast<std::uint64_t>(self.id()) + 1) << 40;
     for (std::uint64_t i = 0; i < keys_per_rank; ++i)
-      if (!t->insert(self, base + i, base + i + 1)) std::abort();
+      if (!t->insert(self, base + i, base + i + 1)) {
+        std::fprintf(stderr, "pr8_churn: insert of key %llu failed (rank %d)\n",
+                     static_cast<unsigned long long>(base + i), self.id());
+        std::abort();
+      }
     self.barrier();
     // Erase the even keys: migration needs free slots to copy into (the pass
     // deliberately refuses to grow the directory), and a half-empty table is
     // the churn steady state compaction exists for anyway.
     for (std::uint64_t i = 0; i < keys_per_rank; i += 2)
-      if (!t->erase(self, base + i)) std::abort();
+      if (!t->erase(self, base + i)) {
+        std::fprintf(stderr, "pr8_churn: erase of key %llu failed (rank %d)\n",
+                     static_cast<unsigned long long>(base + i), self.id());
+        std::abort();
+      }
     self.barrier();
 
     const std::uint64_t survivors = keys_per_rank / 2;
@@ -69,7 +80,13 @@ ProbePoint probe_contract(int P, const gdi::rma::NetParams& net,
       const auto got = t->lookup_many(self, keys);
       const auto probes = self.counters().dht_probe_rounds - p0;
       for (std::size_t i = 0; i < keys.size(); ++i)
-        if (!got[i] || *got[i] != keys[i] + 1) std::abort();
+        if (!got[i] || *got[i] != keys[i] + 1) {
+          std::fprintf(stderr, "pr8_churn: lookup of key %llu returned %s%llu, want %llu\n",
+                       static_cast<unsigned long long>(keys[i]), got[i] ? "" : "nothing ",
+                       static_cast<unsigned long long>(got[i] ? *got[i] : 0),
+                       static_cast<unsigned long long>(keys[i] + 1));
+          std::abort();
+        }
       return static_cast<double>(probes) / static_cast<double>(lookups);
     };
 
@@ -82,7 +99,12 @@ ProbePoint probe_contract(int P, const gdi::rma::NetParams& net,
         if (t->clean_shard_count(self) >= t->shard_count(self)) break;
         (void)t->compact(self);
       }
-      if (t->clean_shard_count(self) < t->shard_count(self)) std::abort();
+      if (const auto clean = t->clean_shard_count(self), shards = t->shard_count(self);
+          clean < shards) {
+        std::fprintf(stderr, "pr8_churn: compaction left clean_shard_count %u < shard_count %u\n",
+                     clean, shards);
+        std::abort();
+      }
     }
     self.barrier();
     (void)t->clean_shard_count(self);  // pick up the advanced clean count

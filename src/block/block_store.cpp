@@ -69,13 +69,14 @@ std::uint64_t BlockStore::allocated_count(rma::Rank& self, std::uint32_t target)
 }
 
 bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, std::uint64_t* word_out,
-                               void* dst) {
+                               void* dst, std::span<const DPtr> tails) {
   const std::uint64_t off = lock_offset(block_index(blk));
   std::uint64_t prev = 0;
   const bool overlap = dst != nullptr && blk.rank() != static_cast<std::uint32_t>(self.id());
+  assert(overlap || tails.empty());
   if (overlap) {
     (void)system_.faa_u64_nb(self, blk.rank(), off, 1, &prev);
-    post_locked_get(self, blk, prev, dst);
+    post_locked_get(self, blk, prev, dst, tails);
     (void)self.flush_all();
   } else {
     prev = system_.faa_u64(self, blk.rank(), off, 1);
@@ -91,9 +92,13 @@ bool BlockStore::try_read_lock(rma::Rank& self, DPtr blk, std::uint64_t* word_ou
 }
 
 void BlockStore::post_locked_get(rma::Rank& self, DPtr blk, std::uint64_t faa_word,
-                                 void* dst) {
+                                 void* dst, std::span<const DPtr> tails) {
   if (write_locked(faa_word)) (void)data_.get_nb_discard(self, cfg_.block_size, blk.rank());
   else (void)data_.get_nb(self, dst, cfg_.block_size, blk);
+  for (DPtr t : tails) {
+    assert(t.rank() == blk.rank());
+    (void)data_.get_nb_discard(self, cfg_.block_size, t.rank());
+  }
 }
 
 void BlockStore::read_unlock(rma::Rank& self, DPtr blk) {
@@ -108,13 +113,16 @@ void BlockStore::read_unlock_nb(rma::Rank& self, DPtr blk) {
 
 std::vector<std::uint8_t> BlockStore::try_read_lock_many(
     rma::Rank& self, std::span<const DPtr> blks, std::vector<std::uint64_t>* words_out,
-    std::span<void* const> dsts) {
+    std::span<void* const> dsts, std::span<const std::span<const DPtr>> tails) {
   assert(dsts.empty() || dsts.size() == blks.size());
+  assert(tails.empty() || tails.size() == blks.size());
   std::vector<std::uint64_t> prev(blks.size(), 0);
   for (std::size_t i = 0; i < blks.size(); ++i) {
     const DPtr b = blks[i];
     (void)system_.faa_u64_nb(self, b.rank(), lock_offset(block_index(b)), 1, &prev[i]);
-    if (!dsts.empty() && dsts[i] != nullptr) post_locked_get(self, b, prev[i], dsts[i]);
+    if (!dsts.empty() && dsts[i] != nullptr)
+      post_locked_get(self, b, prev[i], dsts[i],
+                      tails.empty() ? std::span<const DPtr>{} : tails[i]);
   }
   if (!blks.empty()) (void)self.flush_all();
   std::vector<std::uint8_t> got(blks.size(), 0);

@@ -131,6 +131,15 @@ class BlockStore {
   // shared-cache fills still stamp them with the FAA's word. Only a granted
   // word's bytes are copied; a denied word's GET is charged (the NIC posted
   // it) but its bytes, which a writer may be changing, are dropped.
+  //
+  // The same round may also carry GETs of `tails`: blocks on the locked
+  // block's rank that the caller expects to belong to the same holder (the
+  // block-table memo of src/cache/ names them). Only the caller can tell
+  // whether the lock covers them -- the locked primary's own block table,
+  // read in this round, must list them -- so their bytes are not copied
+  // here: a confirmed tail is taken afterwards with take_posted_block, a
+  // refuted one is never looked at. Same-rank is what makes a confirmed
+  // tail exact: its GET lands behind the FAA, under the lock.
 
   /// One FAA(+1). On success, *word_out (if non-null) receives the word the
   /// FAA displaced -- its version bits date the acquired read lock. A
@@ -138,9 +147,11 @@ class BlockStore {
   /// `dst` also fetches the block into it on success: for a remote block the
   /// GET joins the FAA in one flushed round; a local block stays blocking
   /// (a local FAA then GET undercuts one overlapped round plus its fence).
+  /// `tails` ride only that remote round (empty for a local block).
   [[nodiscard]] bool try_read_lock(rma::Rank& self, DPtr blk,
                                    std::uint64_t* word_out = nullptr,
-                                   void* dst = nullptr);
+                                   void* dst = nullptr,
+                                   std::span<const DPtr> tails = {});
   void read_unlock(rma::Rank& self, DPtr blk);
   /// `version_hint` (masked version bits, e.g. a shared-cache entry's stamp)
   /// is the version the CAS bids on instead of the fresh-block 0, saving the
@@ -155,10 +166,18 @@ class BlockStore {
   /// displaced word. `dsts` is empty or one per word: a non-null dsts[i]
   /// posts blks[i]'s block GET right behind its FAA, in the same round, and
   /// receives the bytes iff the word was acquired (untouched otherwise).
+  /// `tails` is empty or one span per word, posted behind that word's GET.
   [[nodiscard]] std::vector<std::uint8_t> try_read_lock_many(
       rma::Rank& self, std::span<const DPtr> blks,
       std::vector<std::uint64_t>* words_out = nullptr,
-      std::span<void* const> dsts = {});
+      std::span<void* const> dsts = {},
+      std::span<const std::span<const DPtr>> tails = {});
+  /// Copy a tail block whose GET rode a granted read lock's round, once the
+  /// caller has confirmed the lock covers it. Charges nothing: the GET was
+  /// paid in its round.
+  void take_posted_block(DPtr blk, void* dst) {
+    data_.take_posted(dst, cfg_.block_size, blk);
+  }
   /// Batched write locks: one nonblocking CAS per word per round, each round
   /// completed by one flush_all; contended words retry up to `attempts`
   /// rounds. `hints` (empty, or one per block) carries try_write_lock's
@@ -258,10 +277,11 @@ class BlockStore {
   }
 
  private:
-  /// Post the block GET that rides a read-lock FAA which displaced
-  /// `faa_word` (the FAA executes at issue in-process; a real backend would
-  /// drop a denied word's bytes at completion instead).
-  void post_locked_get(rma::Rank& self, DPtr blk, std::uint64_t faa_word, void* dst);
+  /// Post the block GET (and the tail GETs) that ride a read-lock FAA which
+  /// displaced `faa_word` (the FAA executes at issue in-process; a real
+  /// backend would drop a denied word's bytes at completion instead).
+  void post_locked_get(rma::Rank& self, DPtr blk, std::uint64_t faa_word, void* dst,
+                       std::span<const DPtr> tails);
 
   // System-window layout per rank.
   static constexpr std::uint64_t kHeadOffset = 0;    // tagged free-list head

@@ -149,4 +149,20 @@ void SharedBlockCache::remember_translation(std::uint64_t app_id, DPtr vid,
       [&] { return xlate_.size() > cfg_.max_translations; }, [](auto) {});
 }
 
+void SharedBlockCache::remember_block_table(DPtr primary, std::span<const DPtr> tails) {
+  if (tails.empty()) {
+    tables_.erase(primary.raw());
+    return;
+  }
+  if (cfg_.max_translations == 0) return;
+  auto [it, fresh] = tables_.try_emplace(primary.raw());
+  it->second.tails.assign(tails.begin(), tails.end());
+  if (!fresh) return;  // refreshed in place, like a translation
+  it->second.seq = ++tables_seq_;
+  tables_fifo_.emplace_back(primary.raw(), it->second.seq);
+  bound_fifo(
+      tables_, tables_fifo_,
+      [&] { return tables_.size() > cfg_.max_translations; }, [](auto) {});
+}
+
 }  // namespace gdi::cache

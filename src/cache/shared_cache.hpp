@@ -145,6 +145,28 @@ class SharedBlockCache {
   void remember_translation(std::uint64_t app_id, DPtr vid, std::uint64_t epoch);
   void forget_translation(std::uint64_t app_id) { xlate_.erase(app_id); }
 
+  // --- block-table memo -----------------------------------------------------
+  //
+  // holder primary DPtr -> its continuation blocks on the primary's rank,
+  // remembered whenever a locking transaction materializes or writes back
+  // the holder. A read lock whose round carries the primary GET also posts
+  // GETs for these (BlockStore::try_read_lock(_many)'s tails); the primary's
+  // block table, read in that same round under the lock, then confirms or
+  // refutes each. A stale memo costs wasted GETs and the usual second round
+  // for the blocks it missed, never a wrong byte. Bounded by the same count
+  // as the translation memo.
+  struct BlockTable {
+    std::vector<DPtr> tails;
+    std::uint64_t seq = 0;  ///< internal: FIFO re-arm stamp
+  };
+  /// The remembered tails of `primary` (empty when none are known).
+  [[nodiscard]] std::span<const DPtr> find_block_table(DPtr primary) const {
+    auto it = tables_.find(primary.raw());
+    return it == tables_.end() ? std::span<const DPtr>{} : it->second.tails;
+  }
+  /// Remember `primary`'s tails; an empty list forgets the entry.
+  void remember_block_table(DPtr primary, std::span<const DPtr> tails);
+
   void clear() {
     map_.clear();
     fifo_.clear();
@@ -153,6 +175,8 @@ class SharedBlockCache {
     prob_bytes_ = 0;
     xlate_.clear();
     xlate_fifo_.clear();
+    tables_.clear();
+    tables_fifo_.clear();
   }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
@@ -181,6 +205,9 @@ class SharedBlockCache {
   /// leave stale slots that eviction skips and the sweep reclaims.
   std::deque<std::pair<std::uint64_t, std::uint64_t>> xlate_fifo_;
   std::uint64_t xlate_seq_ = 0;
+  std::unordered_map<std::uint64_t, BlockTable> tables_;
+  std::deque<std::pair<std::uint64_t, std::uint64_t>> tables_fifo_;  ///< as xlate_fifo_
+  std::uint64_t tables_seq_ = 0;
 };
 
 }  // namespace gdi::cache

@@ -119,9 +119,21 @@ void Transaction::cache_read_block(DPtr blk, void* dst, const std::byte* fetched
   blk_cache_.emplace(blk.raw(), std::vector<std::byte>(bytes, bytes + B));
 }
 
+bool Transaction::take_spec_tail(std::span<const DPtr> spec, DPtr blk,
+                                 std::vector<std::byte>& dst) {
+  if (std::find(spec.begin(), spec.end(), blk) == spec.end()) return false;
+  dst.resize(db_->blocks().block_size());
+  db_->blocks().take_posted_block(blk, dst.data());
+  auto& c = self_.counters();
+  c.tail_spec_used += 1;
+  if (cache_enabled()) c.cache_misses += 1;  // it crossed the wire
+  return true;
+}
+
 void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t total,
                                    std::uint32_t num_blocks,
-                                   const std::function<DPtr(std::uint32_t)>& addr_of) {
+                                   const std::function<DPtr(std::uint32_t)>& addr_of,
+                                   std::span<const DPtr> spec) {
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
   struct Miss {
@@ -141,6 +153,11 @@ void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t tota
         self_.counters().cache_hits += 1;
         continue;
       }
+    }
+    if (std::vector<std::byte> block; take_spec_tail(spec, blk, block)) {
+      std::memcpy(buf.data() + lo, block.data(), n);
+      if (cache_enabled()) blk_cache_.emplace(blk.raw(), std::move(block));
+      continue;
     }
     misses.push_back(Miss{blk, lo, n});
   }
@@ -290,7 +307,7 @@ void Transaction::prefetch_edges(std::span<const DPtr> eids) {
 template <class S>
 bool Transaction::populate_block_cache(std::span<const DPtr> ids,
                                        std::unordered_set<std::uint64_t>* tainted,
-                                       std::span<const std::byte* const> primed) {
+                                       std::span<const Primed> primed) {
   assert(primed.empty() || primed.size() == ids.size());
   if (!active_ || failed_) return false;
   if (!cache_enabled() || !batching_enabled()) return false;
@@ -299,7 +316,7 @@ bool Transaction::populate_block_cache(std::span<const DPtr> ids,
   const std::size_t B = blocks.block_size();
   const auto& states = holders<S>();
   std::vector<DPtr> need;
-  std::vector<const std::byte*> src;  ///< per need: its primed primary or null
+  std::vector<Primed> src;  ///< per need: what its read lock's round fetched
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const DPtr id = ids[i];
     if (id.is_null()) continue;
@@ -307,7 +324,7 @@ bool Transaction::populate_block_cache(std::span<const DPtr> ids,
     // Reserve the slot so duplicates within `ids` are fetched once.
     blk_cache_.emplace(id.raw(), std::vector<std::byte>{});
     need.push_back(id);
-    src.push_back(primed.empty() ? nullptr : primed[i]);
+    src.push_back(primed.empty() ? Primed{} : primed[i]);
   }
   if (need.empty()) return true;
 
@@ -316,18 +333,20 @@ bool Transaction::populate_block_cache(std::span<const DPtr> ids,
   std::vector<block::BlockStore::BlockReadOp> ops;
   ops.reserve(need.size());
   for (std::size_t j = 0; j < need.size(); ++j)
-    if (src[j] == nullptr) ops.push_back({need[j], scratch.data() + j * B});
+    if (src[j].primary == nullptr) ops.push_back({need[j], scratch.data() + j * B});
   blocks.read_blocks(self_, ops);
   self_.counters().cache_misses += need.size();
 
   // Round 2: continuation blocks of multi-block holders (the block-address
-  // table always lives in the primary block, so round 1 gives every address).
+  // table always lives in the primary block, so round 1 gives every address)
+  // that no speculative GET of the lock round brought.
   std::vector<block::BlockStore::BlockReadOp> tail_ops;
   std::vector<DPtr> tail_blks;
   std::vector<std::vector<std::byte>> tail_bufs;
   for (std::size_t j = 0; j < need.size(); ++j) {
     auto& slot = blk_cache_[need[j].raw()];
-    const std::byte* primary = src[j] != nullptr ? src[j] : scratch.data() + j * B;
+    const std::byte* primary =
+        src[j].primary != nullptr ? src[j].primary : scratch.data() + j * B;
     slot.assign(primary, primary + B);
     typename S::View view(slot);
     // Chase continuation addresses only from a header that can be a holder.
@@ -344,7 +363,8 @@ bool Transaction::populate_block_cache(std::span<const DPtr> ids,
         if (tainted != nullptr) tainted->insert(need[j].raw());
         continue;
       }
-      blk_cache_.emplace(blk.raw(), std::vector<std::byte>{});
+      // Reserve the slot; round 2 fills it unless the lock round did.
+      if (take_spec_tail(src[j].tails, blk, blk_cache_[blk.raw()])) continue;
       tail_blks.push_back(blk);
     }
   }
@@ -391,7 +411,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     bool have_pre = false;
     bool cached = false;         ///< materialized from the shared cache
     bool fill_fresh = false;     ///< kReadShared: bytes will come off the wire
-    const std::byte* primary = nullptr;  ///< primary block the read lock's round fetched
+    Primed primed{};             ///< what the read lock's round fetched
     Status st = Status::kOk;
   };
   std::vector<Item> items;
@@ -502,9 +522,13 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   // validation and a later upgrade need (no extra op). With batching on, a
   // read lock whose holder has neither a per-transaction block nor a
   // shared-cache entry to validate carries its primary GET in its own round
-  // (BlockStore::try_read_lock_many's dsts): Phase 2 then fetches only
-  // continuation blocks for it.
-  std::vector<std::byte> primed;  ///< backs the Items' `primary` bytes
+  // (BlockStore::try_read_lock_many's dsts), plus GETs of the continuation
+  // blocks the block-table memo names for it whenever that round is an
+  // overlapped one (the tails): Phase 2 then fetches only the continuation
+  // blocks the primary's table lists and no tail GET brought.
+  std::vector<std::byte> primed;  ///< backs the Items' primary bytes
+  std::vector<DPtr> spec;         ///< backs the Items' speculative tails
+  const std::uint64_t spec_used_before = self_.counters().tail_spec_used;
   if (mode_ == TxnMode::kReadShared) {
     for (auto& it : items) {
       if (!it.write) continue;
@@ -527,44 +551,64 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       const auto* e = scache() != nullptr ? scache()->find(id) : nullptr;
       return e != nullptr ? e->version : 0;
     };
+    const bool batch_locks =
+        batching_enabled() && read_idx.size() + write_idx.size() > 1;
     std::vector<void*> dst_of(items.size(), nullptr);
+    std::vector<std::span<const DPtr>> tails_of(items.size());
     if (batching_enabled()) {
       const auto needs_bytes = [&](DPtr id) {
         return !blk_cache_.contains(id.raw()) &&
                (scache() == nullptr || scache()->find(id) == nullptr);
       };
+      const auto self_rank = static_cast<std::uint32_t>(self_.id());
+      std::vector<std::size_t> rides;    ///< read items whose primary GET rides
+      std::vector<std::size_t> spec_lo;  ///< per ride: its first tail in `spec`
+      for (std::size_t j : read_idx) {
+        if (!needs_bytes(items[j].id)) continue;
+        rides.push_back(j);
+        spec_lo.push_back(spec.size());
+        // Tails ride only an overlapped round (a local singleton lock is
+        // blocking). Copied: the memo may change before Phase 3 reads them.
+        if (scache() != nullptr && (batch_locks || items[j].id.rank() != self_rank)) {
+          const auto t = scache()->find_block_table(items[j].id);
+          spec.insert(spec.end(), t.begin(), t.end());
+        }
+      }
+      spec_lo.push_back(spec.size());
       const std::size_t B = blocks.block_size();
-      std::size_t n = 0;
-      for (std::size_t j : read_idx) n += needs_bytes(items[j].id) ? 1 : 0;
-      primed.resize(n * B);
-      n = 0;
-      for (std::size_t j : read_idx)
-        if (needs_bytes(items[j].id)) dst_of[j] = primed.data() + (n++) * B;
+      primed.resize(rides.size() * B);
+      for (std::size_t k = 0; k < rides.size(); ++k) {
+        dst_of[rides[k]] = primed.data() + k * B;
+        tails_of[rides[k]] =
+            std::span<const DPtr>(spec).subspan(spec_lo[k], spec_lo[k + 1] - spec_lo[k]);
+      }
     }
     auto lock_serial = [&](std::size_t j) {
       Item& it = items[j];
-      if (!it.write) return blocks.try_read_lock(self_, it.id, &it.word, dst_of[j]);
+      if (!it.write)
+        return blocks.try_read_lock(self_, it.id, &it.word, dst_of[j], tails_of[j]);
       bool got = false;
       const std::uint64_t hint = hint_of(it.id);
       for (int a = 0; a < attempts && !got; ++a)
         got = blocks.try_write_lock(self_, it.id, hint);
       return got;
     };
-    const bool batch_locks =
-        batching_enabled() && read_idx.size() + write_idx.size() > 1;
     std::vector<std::uint8_t> got_r;
     std::vector<std::uint8_t> got_w;
     std::vector<std::uint64_t> words_r;
     if (batch_locks) {
       std::vector<DPtr> rv;
       std::vector<void*> rdst;
+      std::vector<std::span<const DPtr>> rtails;
       std::vector<DPtr> wv;
       rv.reserve(read_idx.size());
       rdst.reserve(read_idx.size());
+      rtails.reserve(read_idx.size());
       wv.reserve(write_idx.size());
       for (std::size_t j : read_idx) {
         rv.push_back(items[j].id);
         rdst.push_back(dst_of[j]);
+        rtails.push_back(tails_of[j]);
       }
       for (std::size_t j : write_idx) wv.push_back(items[j].id);
       // Write bids carry the same hints the serial path uses (empty hints =
@@ -574,7 +618,8 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
         hints_w.reserve(wv.size());
         for (DPtr v : wv) hints_w.push_back(hint_of(v));
       }
-      if (!rv.empty()) got_r = blocks.try_read_lock_many(self_, rv, &words_r, rdst);
+      if (!rv.empty())
+        got_r = blocks.try_read_lock_many(self_, rv, &words_r, rdst, rtails);
       if (!wv.empty()) got_w = blocks.try_write_lock_many(self_, wv, attempts, hints_w);
     }
     auto apply = [&](std::span<const std::size_t> idx,
@@ -585,7 +630,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
         const bool won = batch_locks ? got[k] != 0 : lock_serial(idx[k]);
         if (won) {
           it.lock = granted;
-          it.primary = static_cast<const std::byte*>(dst_of[idx[k]]);
+          it.primed = {static_cast<const std::byte*>(dst_of[idx[k]]), tails_of[idx[k]]};
           if (batch_locks && !words.empty()) it.word = words[k];
           if (granted == LockState::kWrite) scache_invalidate(it.id);
           continue;
@@ -611,6 +656,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     st->buf = e.buf;
     st->view.reset_dirty();
     if constexpr (!S::kIsEdge) snapshot_index_match(*st);
+    memo_block_table<S>(it.id, st->view);
     states.emplace(it.id.raw(), std::move(st));
     it.cached = true;
   };
@@ -656,7 +702,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
   // consulted the cache (read-locked or kReadShared; write intents bypass
   // by design and must not deflate the hit rate).
   std::vector<DPtr> to_fetch;
-  std::vector<const std::byte*> fetched;  ///< per to_fetch: primed primary or null
+  std::vector<Primed> fetched;  ///< per to_fetch: what its lock round fetched
   to_fetch.reserve(items.size());
   fetched.reserve(items.size());
   for (const auto& it : items) {
@@ -664,7 +710,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
           (mode_ == TxnMode::kReadShared || it.lock != LockState::kNone)))
       continue;
     to_fetch.push_back(it.id);
-    fetched.push_back(it.primary);
+    fetched.push_back(it.primed);
     if (scache() != nullptr &&
         (mode_ == TxnMode::kReadShared || it.lock == LockState::kRead))
       self_.counters().scache_misses += 1;
@@ -686,7 +732,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     st->lock = it.lock;
     st->lock_word = it.word;
     const std::uint64_t txn_hits_before = self_.counters().cache_hits;
-    if (Status s = fetch_holder(it.id, *st, populated ? nullptr : it.primary); !ok(s)) {
+    if (Status s = fetch_holder(it.id, *st, populated ? Primed{} : it.primed); !ok(s)) {
       // Not a valid holder: release the just-taken lock and report. Drop the
       // block from the cache too -- with the lock gone nothing pins its
       // bytes, and a later lookup of a recycled block must re-read.
@@ -700,6 +746,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     if (st->lock == LockState::kWrite)
       invalidate_cached_blocks(it.id, st->view.num_blocks(),
                                [&](std::uint32_t i) { return st->view.block_addr(i); });
+    memo_block_table<S>(it.id, st->view);
     if (scache() != nullptr) {
       // Lock-free fill eligibility also requires every byte to have crossed
       // the wire inside the bracket: a tainted holder (tail served from a
@@ -742,6 +789,10 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     }
   }
 
+  // Every speculative tail GET was either taken (counted used where its
+  // holder's table confirmed it) or is never looked at.
+  self_.counters().tail_spec_wasted +=
+      spec.size() - (self_.counters().tail_spec_used - spec_used_before);
   for (std::size_t i = 0; i < specs.size(); ++i)
     if (spec_item[i] != SIZE_MAX) per[i] = items[spec_item[i]].st;
   return doom;
@@ -752,21 +803,35 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
 // ---------------------------------------------------------------------------
 
 template <class S>
-Status Transaction::fetch_holder(DPtr id, S& st, const std::byte* primary) {
+Status Transaction::fetch_holder(DPtr id, S& st, const Primed& primed) {
   const std::size_t B = db_->blocks().block_size();
   // One GET suffices for a one-block holder -- the BGDL design goal.
   st.buf.resize(B);
-  cache_read_block(id, st.buf.data(), primary);
+  cache_read_block(id, st.buf.data(), primed.primary);
   if (!well_formed<S>(st.view, B)) return Status::kNotFound;
   const std::size_t total = S::required_size(st.view);
   st.buf.resize(total);
-  // Continuation blocks: cache-served or fetched as one overlapped batch.
+  // Continuation blocks: cache-served, confirmed from the lock round, or
+  // fetched as one overlapped batch.
   if (total > B)
     read_tail_blocks(st.buf, total, st.view.num_blocks(),
-                     [&](std::uint32_t i) { return st.view.block_addr(i); });
+                     [&](std::uint32_t i) { return st.view.block_addr(i); }, primed.tails);
   st.view.reset_dirty();
   if constexpr (!S::kIsEdge) snapshot_index_match(st);
   return Status::kOk;
+}
+
+template <class S>
+void Transaction::memo_block_table(DPtr id, const typename S::View& v) {
+  auto* sc = scache();
+  if (sc == nullptr || mode_ == TxnMode::kReadShared) return;
+  // Only blocks on the primary's rank may ride its lock round: their GETs
+  // land behind the FAA. A spilled block keeps the second round.
+  std::vector<DPtr> tails;
+  for (std::uint32_t i = 1; i < v.num_blocks(); ++i)
+    if (const DPtr b = v.block_addr(i); !b.is_null() && b.rank() == id.rank())
+      tails.push_back(b);
+  sc->remember_block_table(id, tails);
 }
 
 template <class S>
@@ -1469,6 +1534,7 @@ void Transaction::writeback(DPtr id, S& st) {
   }
   if (wrote && !batching_enabled()) blocks.flush(self_, id.rank());
   st.view.reset_dirty();
+  memo_block_table<S>(id, st.view);  // the table sync_blocks settled
 }
 
 void Transaction::release_locks(bool write_through) {
@@ -1538,6 +1604,7 @@ Status Transaction::commit_local() {
   for_each_holder([&](DPtr id, auto& st) {
     if (!st.deleted) return;
     scache_invalidate(id);
+    if (auto* sc = scache(); sc != nullptr) sc->remember_block_table(id, {});
     if (!st.created) {
       const auto [off, n] = std::remove_reference_t<decltype(st)>::tombstone(B, st.buf.size());
       const std::byte* src = st.buf.data() + off;
@@ -1770,7 +1837,6 @@ template Status Transaction::fetch_batch<Transaction::VertexState>(std::span<con
 template Status Transaction::fetch_batch<Transaction::EdgeState>(std::span<const FetchSpec>,
                                                                  std::span<Status>);
 template bool Transaction::populate_block_cache<Transaction::VertexState>(
-    std::span<const DPtr>, std::unordered_set<std::uint64_t>*,
-    std::span<const std::byte* const>);
+    std::span<const DPtr>, std::unordered_set<std::uint64_t>*, std::span<const Primed>);
 
 }  // namespace gdi

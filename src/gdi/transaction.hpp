@@ -339,11 +339,24 @@ class Transaction {
   Result<EdgeState*> state(EdgeHandle e, bool for_write) {
     return state<EdgeState>(e.eid, for_write);
   }
+  /// What a read lock's round fetched for one holder: the primary block's
+  /// bytes (null if it did not ride) and the continuation blocks whose GETs
+  /// the block-table memo added -- speculative until the primary's own
+  /// table lists them (then taken with BlockStore::take_posted_block and
+  /// counted tail_spec_used; the rest are never looked at).
+  struct Primed {
+    const std::byte* primary = nullptr;
+    std::span<const DPtr> tails;
+  };
   /// Read one holder (primary, then its continuation blocks) into `st`.
-  /// `primary`, if non-null, holds the primary block's bytes already fetched
-  /// under this transaction's lock (the read lock's GET rode its FAA).
+  /// `primed` carries what the read lock's round already fetched under this
+  /// transaction's lock.
   template <class S>
-  Status fetch_holder(DPtr id, S& st, const std::byte* primary = nullptr);
+  Status fetch_holder(DPtr id, S& st, const Primed& primed = {});
+  /// Remember `id`'s continuation blocks on its rank in the shared cache's
+  /// block-table memo (locking modes only: only their read locks use it).
+  template <class S>
+  void memo_block_table(DPtr id, const typename S::View& v);
   /// Record which db indexes the vertex matches (commit-time index deltas).
   void snapshot_index_match(VertexState& st);
 
@@ -387,12 +400,12 @@ class Transaction {
   /// continuation block *already* in the per-transaction cache -- bytes that
   /// predate the caller's seqlock bracket and therefore disqualify the
   /// holder from a lock-free shared-cache fill. `primed` is empty or one per
-  /// id: a non-null primed[i] is ids[i]'s primary block, already fetched by
-  /// its read lock's round, so only its continuation blocks are read.
+  /// id: what ids[i]'s read lock round already fetched, so only the
+  /// continuation blocks it did not confirm are read.
   template <class S>
   bool populate_block_cache(std::span<const DPtr> ids,
                             std::unordered_set<std::uint64_t>* tainted = nullptr,
-                            std::span<const std::byte* const> primed = {});
+                            std::span<const Primed> primed = {});
   /// Serve an app-ID peek from vcache_/blk_cache_; false = caller must read.
   [[nodiscard]] bool peek_cached(DPtr vid, std::uint64_t* out);
 
@@ -407,11 +420,17 @@ class Transaction {
   /// instead of reading.
   void cache_read_block(DPtr blk, void* dst, const std::byte* fetched = nullptr);
   /// Read a holder's continuation blocks [1, num_blocks) into `buf`:
-  /// cache-served where possible, remaining misses fetched as one overlapped
+  /// cache-served where possible, then taken from the speculative `spec`
+  /// GETs the table confirms, remaining misses fetched as one overlapped
   /// batch (or serially when batching is disabled).
   void read_tail_blocks(std::vector<std::byte>& buf, std::size_t total,
                         std::uint32_t num_blocks,
-                        const std::function<DPtr(std::uint32_t)>& addr_of);
+                        const std::function<DPtr(std::uint32_t)>& addr_of,
+                        std::span<const DPtr> spec = {});
+  /// If `blk` is one of the speculative `spec` GETs, copy its block into
+  /// `dst`, count it used (and a per-transaction cache miss) and return
+  /// true. Callers ask only for blocks a locked primary's table lists.
+  bool take_spec_tail(std::span<const DPtr> spec, DPtr blk, std::vector<std::byte>& dst);
   /// Drop a holder's blocks from the cache (same-transaction write intent).
   void invalidate_cached_blocks(DPtr primary, std::uint32_t num_blocks,
                                 const std::function<DPtr(std::uint32_t)>& addr_of);

@@ -94,6 +94,13 @@ struct NetParams {
   /* Per-transaction block cache (maintained by the GDI layer). */            \
   X(cache_hits, Sum)                                                          \
   X(cache_misses, Sum)                                                        \
+  /* Block-table memo speculation: continuation-block GETs that rode a read   \
+     lock's round on the memo's word, then confirmed by the primary's block   \
+     table read in that round (used; each also counts as a cache_misses: it   \
+     crossed the wire) or not (wasted: refuted by the table, or posted behind \
+     a lock a writer denied). */                                              \
+  X(tail_spec_used, Sum)                                                      \
+  X(tail_spec_wasted, Sum)                                                    \
   /* Shared (inter-transaction) holder cache: hits skipped a whole holder     \
      fetch, misses went to the wire, validations are lock-word checks         \
      performed (every hit implies one), invalidations count dropped entries   \

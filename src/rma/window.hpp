@@ -172,6 +172,16 @@ class Window {
     return enqueue_data(self, n, target, /*is_put=*/false);
   }
 
+  /// The bytes of a GET posted with get_nb_discard, taken after its round
+  /// completed, at no further charge. A speculative read posts first and
+  /// learns later whether its bytes are wanted; in-process the copy waits
+  /// for that answer, which is exact as long as the caller's lock has kept
+  /// the bytes still since the post. A refuted read is never looked at.
+  void take_posted(void* dst, std::size_t n, DPtr p) {
+    assert(in_one_segment(p.offset(), n));
+    std::memcpy(dst, addr(p.rank(), p.offset()), n);
+  }
+
   /// Nonblocking 64-bit atomic read: the value is loaded (linearizably) at
   /// issue time into *out; the latency joins the current batch. Used by
   /// read-side multi-lookups that overlap many independent atomic fetches.

@@ -101,11 +101,15 @@ TEST_P(ChurnParam, MirrorAndIndexInvariantsHoldAfterChurn) {
         ++vertex_count;
         // I3: the DHT-returned holder carries the right app id.
         EXPECT_EQ(*r.app_id_of(*h), i);
+        // EXPECT and skip, not ASSERT: an ASSERT would return rank 0 early
+        // and leave the other ranks waiting at the closing barrier forever.
         auto edges = r.edges_of(*h, DirFilter::kAll);
-        ASSERT_TRUE(edges.ok());
+        EXPECT_TRUE(edges.ok());
+        if (!edges.ok()) continue;
         for (const auto& e : *edges) {
           auto nid = r.peek_app_id(e.neighbor);
-          ASSERT_TRUE(nid.ok());
+          EXPECT_TRUE(nid.ok());
+          if (!nid.ok()) continue;
           // I1: neighbor must be a valid vertex.
           auto nh = r.associate_vertex(e.neighbor);
           EXPECT_TRUE(nh.ok()) << "dangling edge " << i << " -> app " << *nid;
@@ -121,8 +125,9 @@ TEST_P(ChurnParam, MirrorAndIndexInvariantsHoldAfterChurn) {
         const int mdir = dir == 0 ? 1 : dir == 1 ? 0 : 2;
         const EdgeKey mirror{b, a, mdir, l};
         auto it = records.find(mirror);
-        ASSERT_NE(it, records.end())
+        EXPECT_NE(it, records.end())
             << "missing mirror for " << a << "->" << b << " dir " << dir;
+        if (it == records.end()) continue;
         EXPECT_EQ(it->second, count)
             << "mirror multiplicity mismatch " << a << "<->" << b;
       }

@@ -385,6 +385,129 @@ TEST(PerfModel, CreateEdgeUpgradesBothEndpointsInOneRound) {
   });
 }
 
+// --- one round per holder read (block-table memo) ---------------------------
+
+/// 256-byte blocks and a shared cache too small to keep any multi-block
+/// holder: every read of one goes to the wire, with the block-table memo
+/// (bounded by the same derived count) still in play.
+DatabaseConfig memo_cfg() {
+  DatabaseConfig c = cfg_with_block(256);
+  c.shared_cache = true;
+  c.shared_cache_bytes = 256;
+  return c;
+}
+
+/// kRead find of `app_id` in a fresh transaction: its op counters and
+/// simulated time.
+std::pair<rma::OpCounters, double> find_cost(rma::Rank& self,
+                                             const std::shared_ptr<Database>& db,
+                                             std::uint64_t app_id) {
+  Transaction r(db, self, TxnMode::kRead);
+  self.reset_counters();
+  const double t0 = self.sim_time_ns();
+  EXPECT_TRUE(r.find_vertex(app_id).ok());
+  const double dt = self.sim_time_ns() - t0;
+  const rma::OpCounters k = self.counters();
+  EXPECT_EQ(r.commit(), Status::kOk);
+  return {k, dt};
+}
+
+TEST(PerfModel, RemoteTwoBlockReadLockCarriesMemoizedTail) {
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, memo_cfg());
+    // ASSERTs return from the inner lambda only: rank 1 still meets rank 0
+    // at the barrier.
+    if (self.id() == 0) [&] {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        auto hub = *w.create_vertex(1);  // owner rank 1: remote from rank 0
+        for (std::uint64_t i = 2; i <= 12; i += 2)
+          (void)w.create_edge(hub, *w.create_vertex(i), layout::Dir::kOut);
+        ASSERT_EQ(w.commit(), Status::kOk);  // the writeback memoizes the table
+      }
+      (void)find_cost(self, db, 1);  // teaches the translation memo
+      Transaction probe(db, self, TxnMode::kRead);
+      const DPtr vid = *probe.translate_vertex_id(1);
+      (void)probe.commit();
+      std::uint32_t nb = 0;
+      db->blocks().read(self, vid, 12, &nb, 4);
+      ASSERT_EQ(nb, 2u) << "test requires a two-block holder";
+      ASSERT_EQ(db->shared_cache(self)->find_block_table(vid).size(), 1u);
+
+      const auto [warm, warm_ns] = find_cost(self, db, 1);
+      EXPECT_EQ(warm.atomics, 1u) << "one FAA, no DHT walk";
+      EXPECT_EQ(warm.gets, 2u);
+      EXPECT_EQ(warm.nb_gets, 2u) << "primary and tail both ride the lock round";
+      EXPECT_EQ(warm.flushes, 1u);
+      EXPECT_EQ(warm.tail_spec_used, 1u);
+      EXPECT_EQ(warm.tail_spec_wasted, 0u);
+      EXPECT_EQ(warm.cache_misses, 2u) << "a used speculative block crossed the wire";
+      EXPECT_EQ(warm.cache_hits, 0u);
+
+      db->shared_cache(self)->remember_block_table(vid, {});  // cold memo
+      const auto [cold, cold_ns] = find_cost(self, db, 1);
+      EXPECT_EQ(cold.atomics, 1u);
+      EXPECT_EQ(cold.gets, 2u);
+      EXPECT_EQ(cold.nb_gets, 1u) << "the tail is a second, blocking round";
+      EXPECT_EQ(cold.flushes, 1u);
+      EXPECT_EQ(cold.tail_spec_used, 0u);
+      EXPECT_EQ(cold.tail_spec_wasted, 0u);
+      EXPECT_LT(warm_ns, cold_ns);
+      EXPECT_EQ(warm.bytes_get, cold.bytes_get);
+    }();
+    self.barrier();
+  });
+}
+
+TEST(PerfModel, SpilledContinuationBlockIsNeverSpeculated) {
+  // A tail on another rank than its primary could be read before the FAA
+  // lands: it keeps the second round, and the memo never names it.
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, memo_cfg());
+    // ASSERTs return from the inner lambda only: rank 1 still meets rank 0
+    // at the barrier.
+    if (self.id() == 0) [&] {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        (void)w.create_vertex(1);  // owner rank 1
+        for (std::uint64_t i = 2; i <= 12; i += 2) (void)w.create_vertex(i);  // rank 0
+        ASSERT_EQ(w.commit(), Status::kOk);
+      }
+      // Fill rank 1's pool, so the hub's growth spills to rank 0.
+      std::vector<DPtr> hog;
+      for (DPtr b = db->blocks().acquire(self, 1); !b.is_null();
+           b = db->blocks().acquire(self, 1))
+        hog.push_back(b);
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        auto hub = *w.find_vertex(1);
+        for (std::uint64_t i = 2; i <= 12; i += 2)
+          ASSERT_TRUE(w.create_edge(hub, *w.find_vertex(i), layout::Dir::kOut).ok());
+        ASSERT_EQ(w.commit(), Status::kOk);
+      }
+      Transaction probe(db, self, TxnMode::kRead);
+      const DPtr vid = *probe.translate_vertex_id(1);
+      (void)probe.commit();
+      std::vector<std::byte> primary(db->blocks().block_size());
+      db->blocks().read_block(self, vid, primary.data());
+      const layout::VertexView view(primary);
+      ASSERT_EQ(view.num_blocks(), 2u);
+      ASSERT_EQ(view.block_addr(1).rank(), 0u) << "test requires a spilled tail";
+      EXPECT_TRUE(db->shared_cache(self)->find_block_table(vid).empty());
+
+      (void)find_cost(self, db, 1);  // materialized: the memo stays empty
+      EXPECT_TRUE(db->shared_cache(self)->find_block_table(vid).empty());
+      const auto [k, ns] = find_cost(self, db, 1);
+      EXPECT_EQ(k.gets, 2u);
+      EXPECT_EQ(k.nb_gets, 1u) << "only the primary rides the lock round";
+      EXPECT_EQ(k.tail_spec_used + k.tail_spec_wasted, 0u);
+    }();
+    self.barrier();
+  });
+}
+
 TEST(PerfModel, SerialReadPathOpCountsArePinned) {
   // batched_reads = false is the paper-fidelity path and the denominator of
   // the batched speedups: a fixed read-then-write stream must keep exactly
